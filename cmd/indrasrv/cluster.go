@@ -2,18 +2,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/signal"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"indra/internal/cluster"
+	"indra/internal/obs"
 	"indra/internal/serve"
 )
 
@@ -40,12 +37,15 @@ func registerClusterFlags() clusterFlags {
 	}
 }
 
-// runCluster serves the router tier: consistent-hash routing of cell
-// keys across the configured workers with cluster-wide single-flight,
-// health-checked failover, and peer cache fill. Workers are either
-// remote indrasrv processes (-peers) or in-process servers
-// (-local-workers); both can be mixed.
-func runCluster(addr string, cf clusterFlags, srvCfg serve.Config, drainTimeout time.Duration) {
+// clusterFront is the router tier: consistent-hash routing of cell
+// keys across remote indrasrv processes (-peers) and/or in-process
+// servers (-local-workers), which it drains after itself.
+type clusterFront struct {
+	*cluster.Router
+	locals []*serve.Server
+}
+
+func newClusterFront(cf clusterFlags, srvCfg serve.Config) clusterFront {
 	var workers []cluster.Worker
 	var locals []*serve.Server
 	for _, u := range strings.Split(*cf.peers, ",") {
@@ -69,57 +69,29 @@ func runCluster(addr string, cf clusterFlags, srvCfg serve.Config, drainTimeout 
 		FailThreshold:   *cf.failThreshold,
 		ReviveThreshold: *cf.reviveThreshold,
 		MaxHops:         *cf.maxHops,
-		DefaultTimeout:  srvCfg.DefaultTimeout,
-		MaxRequests:     srvCfg.MaxRequests,
-		MaxScale:        srvCfg.MaxScale,
+		Limits:          srvCfg.Limits,
 	}, workers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "indrasrv: %v\n", err)
 		os.Exit(1)
 	}
+	fmt.Fprintf(os.Stderr, "indrasrv: routing across %d workers\n", len(workers))
+	return clusterFront{Router: router, locals: locals}
+}
 
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "indrasrv: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "indrasrv: routing on %s across %d workers\n", l.Addr(), len(workers))
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- router.Serve(l) }()
-
-	select {
-	case err := <-errCh:
-		fmt.Fprintf(os.Stderr, "indrasrv: %v\n", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-
-	fmt.Fprintf(os.Stderr, "indrasrv: draining router (up to %s)\n", drainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	snap, err := router.Drain(dctx)
-	<-errCh
-	// Local workers drain after the router so in-flight proxied cells
-	// finish first; remote peers own their own lifecycles.
+// Drain drains the router, then the local workers, so in-flight
+// proxied cells finish first; remote peers own their own lifecycles.
+// The snapshot is the router's.
+func (c clusterFront) Drain(ctx context.Context) (obs.Snapshot, error) {
+	snap, err := c.Router.Drain(ctx)
 	var wg sync.WaitGroup
-	for _, s := range locals {
+	for _, s := range c.locals {
 		wg.Add(1)
-		go func(s *serve.Server) {
+		go func() {
 			defer wg.Done()
-			_, _ = s.Drain(dctx)
-		}(s)
+			_, _ = s.Drain(ctx)
+		}()
 	}
 	wg.Wait()
-	if out, jerr := json.Marshal(snap); jerr == nil {
-		fmt.Fprintf(os.Stderr, "indrasrv: final router metrics: %s\n", out)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "indrasrv: drain: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "indrasrv: drained cleanly")
+	return snap, err
 }

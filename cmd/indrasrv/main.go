@@ -1,14 +1,20 @@
 // Command indrasrv serves the INDRA experiment suite over HTTP: a
-// long-running simulation-as-a-service front-end with a canonical
-// cell-key result cache (single-flight), admission control, and
-// /metrics observability.
+// long-running simulation-as-a-service front-end. By default it is a
+// worker, executing cells behind a canonical cell-key result cache
+// (single-flight) and admission control; with -cluster it is a router,
+// consistent-hashing every cell to its owning worker (given by -peers
+// URLs and/or -local-workers in-process servers) with cluster-wide
+// single-flight, health-checked failover and peer cache fill (see
+// cluster.go). Both roles serve the same front, so clients cannot tell
+// them apart.
 //
 // Usage:
 //
 //	indrasrv -addr :8080
 //	indrasrv -addr :8080 -workers 8 -queue 32 -cell-workers 1
+//	indrasrv -cluster -addr :8090 -peers http://h1:8080,http://h2:8080
 //
-// Endpoints:
+// Endpoints (both roles):
 //
 //	GET  /healthz          liveness (503 while draining)
 //	GET  /metrics          obs registry snapshot (JSON)
@@ -16,20 +22,17 @@
 //	GET  /v1/cell?key=K    run/fetch one cell by canonical key
 //	POST /v1/cell          {"key": "fig9/req=3/scale=1/seed=1"}
 //	POST /v1/cells         {"cells": [K, ...]} → NDJSON as cells finish
-//	POST /v1/fill          {"key": K, "output": O} peer cache fill
 //
-// Cluster mode (-cluster) serves the router tier instead: the same
-// client surface, but every cell is consistent-hashed to its owning
-// worker (given by -peers URLs and/or -local-workers in-process
-// servers) with cluster-wide single-flight, health-checked failover,
-// and peer cache fill. See cluster.go.
+// plus POST /v1/fill ({"key": K, "output": O}, peer cache fill) on a
+// worker and GET /v1/cluster (topology and routing latency) on a
+// router. Request bodies are capped at 1 MiB (413 beyond).
 //
 // A cell's output is byte-identical to `indrabench -experiment <id>`
 // with the same requests/scale/seed. Identical concurrent requests
 // coalesce onto one simulation; full queues answer 429 with a
-// Retry-After hint; per-request deadlines answer 504. SIGTERM/SIGINT
-// drains gracefully: stop accepting, finish in-flight requests, flush
-// the final metrics snapshot to stderr.
+// Retry-After hint; per-request deadlines answer 504. In either role
+// SIGTERM/SIGINT drains gracefully: stop accepting, finish in-flight
+// requests, flush the final metrics snapshot to stderr.
 package main
 
 import (
@@ -43,8 +46,16 @@ import (
 	"syscall"
 	"time"
 
+	"indra/internal/obs"
 	"indra/internal/serve"
 )
+
+// front is what both roles serve: a worker (*serve.Server) or a router
+// (clusterFront).
+type front interface {
+	Serve(net.Listener) error
+	Drain(context.Context) (obs.Snapshot, error)
+}
 
 func main() {
 	var (
@@ -64,21 +75,23 @@ func main() {
 	flag.Parse()
 
 	srvCfg := serve.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CellWorkers:    *cellWorkers,
-		CacheShards:    *shards,
-		CacheEntries:   *entries,
-		DefaultTimeout: *timeout,
-		MaxRequests:    *maxRequests,
-		MaxScale:       *maxScale,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		CellWorkers:  *cellWorkers,
+		CacheShards:  *shards,
+		CacheEntries: *entries,
+		Limits: serve.Limits{
+			DefaultTimeout: *timeout,
+			MaxRequests:    *maxRequests,
+			MaxScale:       *maxScale,
+		},
 	}
+	var f front
 	if *clusterMode {
-		runCluster(*addr, cf, srvCfg, *drainTimeout)
-		return
+		f = newClusterFront(cf, srvCfg)
+	} else {
+		f = serve.New(srvCfg)
 	}
-
-	srv := serve.New(srvCfg)
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -91,7 +104,7 @@ func main() {
 	defer stop()
 
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(l) }()
+	go func() { errCh <- f.Serve(l) }()
 
 	select {
 	case err := <-errCh:
@@ -106,7 +119,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "indrasrv: draining (up to %s)\n", *drainTimeout)
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	snap, err := srv.Drain(dctx)
+	snap, err := f.Drain(dctx)
 	<-errCh // Serve has returned http.ErrServerClosed by now
 	if out, jerr := json.Marshal(snap); jerr == nil {
 		fmt.Fprintf(os.Stderr, "indrasrv: final metrics: %s\n", out)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"indra/internal/chip"
@@ -21,25 +22,46 @@ import (
 // block engine must stay coherent when NIC DMA rewrites predecoded
 // code, and mid-DMA / mid-NIC-receive snapshots must round-trip.
 
-// withLegacyWiring runs fn with the chip package building chips on the
-// legacy hardcoded-disk path (no NIC, no disk-backed fs). The default
-// is flipped for the whole call — fn must not run concurrently with
-// other chip builders, which is why the tests below do not parallelize.
-func withLegacyWiring(fn func()) {
-	chip.LegacyDeviceWiringDefault = true
-	defer func() { chip.LegacyDeviceWiringDefault = false }()
-	fn()
+// deviceObserver is a RunLoop that checks every chip it drives: the
+// registry holds exactly disk0 then nic0, and a NIC the host queued no
+// frames on before the run ends it with every counter still zero (no
+// delivery, drop, rejection or stall). Safe for concurrent use
+// (parallel cells share it).
+type deviceObserver struct {
+	mu   sync.Mutex
+	runs int
+	errs []string
+}
+
+func (d *deviceObserver) runLoop(ch *chip.Chip, maxInstr uint64) (*chip.Chip, chip.RunResult, error) {
+	var names []string
+	for _, dev := range ch.Devices().Devices() {
+		names = append(names, dev.Name())
+	}
+	idle := ch.NIC().PendingFrames() == 0 && ch.NIC().Stats() == (device.NICStats{})
+	res, err := ch.Run(maxInstr)
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.runs++
+	if got := strings.Join(names, ","); got != "disk0,nic0" {
+		d.errs = append(d.errs, fmt.Sprintf("registry holds [%s], want [disk0,nic0]", got))
+	}
+	if st := ch.NIC().Stats(); idle && st != (device.NICStats{}) {
+		d.errs = append(d.errs, fmt.Sprintf("NIC with no queued frames acted during the run: %+v", st))
+	}
+	return ch, res, err
 }
 
 // TestDeviceRegistryDifferential replays every golden experiment cell
-// on the legacy device path and requires byte-identical output to the
-// committed goldens (which are generated with the registry armed), at
-// Workers 1 and 8. The one permitted difference is faultsweep's
-// DeviceSweep section, which only exists with devices wired: there the
-// legacy output must be the exact prefix above that section.
+// through deviceObserver and requires byte-identical output to the
+// committed goldens, at Workers 1 and 8. The goldens above faultsweep's
+// DeviceSweep section are the output of the pre-registry, disk-only
+// device path; the registry keeps them because the NIC it adds stays
+// inert unless a cell queues frames on it, which only DeviceSweep does.
 func TestDeviceRegistryDifferential(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden replay on both device wirings is not short")
+		t.Skip("observed golden replay is not short")
 	}
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -47,28 +69,29 @@ func TestDeviceRegistryDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden (generate with TestGoldenDeterminism -update-golden): %v", err)
 			}
-			expect := string(want)
-			if tc.name == "faultsweep" {
-				i := strings.Index(expect, "\nDeviceSweep:")
-				if i < 0 {
-					t.Fatal("faultsweep golden lacks a DeviceSweep section — regenerate it")
-				}
-				expect = expect[:i]
+			if tc.name == "faultsweep" && !strings.Contains(string(want), "\nDeviceSweep:") {
+				t.Fatal("faultsweep golden lacks a DeviceSweep section — regenerate it")
 			}
 			for _, workers := range []int{1, 8} {
-				var got string
-				var runErr error
-				withLegacyWiring(func() {
-					o := goldenOpts
-					o.Workers = workers
-					got, runErr = tc.run(o)
-				})
-				if runErr != nil {
-					t.Fatalf("workers=%d: legacy-wiring run: %v", workers, runErr)
+				var obs deviceObserver
+				o := goldenOpts
+				o.Workers = workers
+				o.RunLoop = obs.runLoop
+				got, err := tc.run(o)
+				if err != nil {
+					t.Fatalf("workers=%d: observed run: %v", workers, err)
 				}
-				if got != expect {
-					t.Errorf("workers=%d: legacy device path diverges from registry golden %s.golden\n--- legacy ---\n%s--- registry ---\n%s",
-						workers, tc.name, got, expect)
+				if got != string(want) {
+					t.Errorf("workers=%d: observed output diverges from golden %s.golden\n--- observed ---\n%s--- golden ---\n%s",
+						workers, tc.name, got, want)
+				}
+				for _, e := range obs.errs {
+					t.Errorf("workers=%d: %s", workers, e)
+				}
+				// table4 is a static table (no simulation); every other
+				// case runs at least one chip.
+				if tc.name != "table4" && obs.runs == 0 {
+					t.Errorf("workers=%d: no chip ran through the observer", workers)
 				}
 			}
 		})

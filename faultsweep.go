@@ -409,29 +409,28 @@ func FaultSweep(o ExpOptions) (*FaultSweepResult, error) {
 	}
 	result := &FaultSweepResult{Rows: rows}
 
-	if !chip.LegacyDeviceWiringDefault {
-		type dcell struct {
-			scenario string
-			scIdx    int
-			rateIdx  int
-		}
-		var dcells []dcell
-		for si, sc := range DeviceScenarios {
-			for ri := range FaultSweepRates {
-				dcells = append(dcells, dcell{sc, si, ri})
-			}
-		}
-		drows, err := parallel.Run(o.pool(), dcells, func(_ int, c dcell) (DeviceRow, error) {
-			// 0x80+scIdx keeps device seeds disjoint from the
-			// service rows' svcIdx space.
-			seedBase := uint64(o.Seed)<<32 | uint64(0x80+c.scIdx)<<16 | uint64(c.rateIdx)<<8
-			return runDeviceCell(o, c.scenario, FaultSweepRates[c.rateIdx], seedBase)
-		})
-		if err != nil {
-			return nil, err
-		}
-		result.DeviceRows = drows
+	type dcell struct {
+		scenario string
+		scIdx    int
+		rateIdx  int
 	}
+	var dcells []dcell
+	for si, sc := range DeviceScenarios {
+		for ri := range FaultSweepRates {
+			dcells = append(dcells, dcell{sc, si, ri})
+		}
+	}
+	drows, err := parallel.Run(o.pool(), dcells, func(_ int, c dcell) (DeviceRow, error) {
+		// 0x80+scIdx keeps device seeds disjoint from the
+		// service rows' svcIdx space.
+		seedBase := uint64(o.Seed)<<32 | uint64(0x80+c.scIdx)<<16 | uint64(c.rateIdx)<<8
+		return runDeviceCell(o, c.scenario, FaultSweepRates[c.rateIdx], seedBase)
+	})
+	if err != nil {
+		return nil, err
+	}
+	result.DeviceRows = drows
+
 	return result, nil
 }
 

@@ -167,6 +167,7 @@ func Fleet(o ExpOptions) (*FleetResult, error) {
 			return FleetRow{}, err
 		}
 		res, err := f.Run()
+		f.Release()
 		if err != nil {
 			return FleetRow{}, err
 		}

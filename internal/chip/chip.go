@@ -147,22 +147,7 @@ type Config struct {
 	// produces byte-identical simulations — the differential harness
 	// pins that.
 	ScalarDispatch bool
-
-	// LegacyDeviceWiring reverts boot to the pre-registry peripheral
-	// set: the disk alone, hardwired, with no NIC and no block-store
-	// backing of the fs. Unlike ScalarDispatch this is platform
-	// configuration (it changes which devices exist) and is part of
-	// snapshot identity; the device differential test pins that both
-	// wirings produce byte-identical experiment outputs.
-	LegacyDeviceWiring bool
 }
-
-// LegacyDeviceWiringDefault seeds DefaultConfig's LegacyDeviceWiring.
-// The device differential harness flips it to replay whole experiment
-// suites — including the ones that assemble chips from DefaultConfig
-// internally — on the legacy wiring. Set it only while no cells are in
-// flight.
-var LegacyDeviceWiringDefault bool
 
 // DefaultConfig mirrors the paper's evaluation platform: a dual-core
 // with Table 4's memory system, a 32-entry FIFO, a 32-entry CAM,
@@ -183,7 +168,6 @@ func DefaultConfig() Config {
 		Scheme:              SchemeDelta,
 		Recovery:            recovery.DefaultConfig(),
 		DrainInterval:       64,
-		LegacyDeviceWiring:  LegacyDeviceWiringDefault,
 	}
 }
 
@@ -207,7 +191,7 @@ type Chip struct {
 	kern     *oslite.Kernel
 	registry *device.Registry
 	disk     *device.Disk
-	nic      *device.NIC // nil under LegacyDeviceWiring
+	nic      *device.NIC
 	boot     BootReport
 
 	cores     []*cpu.Core
@@ -449,15 +433,13 @@ func (c *Chip) bootSequence() {
 		panic(err) // boot-time wiring of fixed devices cannot collide
 	}
 	b.log("block device attached; DMA descriptors watchdog-checked per originating core")
-	if !c.cfg.LegacyDeviceWiring {
-		c.nic = device.NewNIC(c.phys, c.wd, c.inj)
-		if err := c.registry.Register(c.nic); err != nil {
-			panic(err)
-		}
-		c.kern.FS().Back(c.disk, FSBackingBaseSector)
-		b.log("nic registered at MMIO [%#x,%#x); fs backed by disk sectors %d+",
-			device.NICMMIOBase, device.NICMMIOBase+device.NICMMIOBytes, uint32(FSBackingBaseSector))
+	c.nic = device.NewNIC(c.phys, c.wd, c.inj)
+	if err := c.registry.Register(c.nic); err != nil {
+		panic(err)
 	}
+	c.kern.FS().Back(c.disk, FSBackingBaseSector)
+	b.log("nic registered at MMIO [%#x,%#x); fs backed by disk sectors %d+",
+		device.NICMMIOBase, device.NICMMIOBase+device.NICMMIOBytes, uint32(FSBackingBaseSector))
 	c.registry.StartAll()
 	b.log("resurrectee cores released; OS-lite booted on cores %d..%d (%d resurrector(s))",
 		nRes, nRes+c.cfg.Resurrectees-1, nRes)
@@ -778,8 +760,7 @@ func (c *Chip) Disk() *device.Disk { return c.disk }
 // lookup by name).
 func (c *Chip) Devices() *device.Registry { return c.registry }
 
-// NIC exposes the platform's network interface (nil under
-// LegacyDeviceWiring).
+// NIC exposes the platform's network interface.
 func (c *Chip) NIC() *device.NIC { return c.nic }
 
 // TranslateVA resolves a virtual address of the process active on

@@ -67,15 +67,14 @@ func (r *Router) noteSuccess(id string) {
 	}
 	mb.consecFail = 0
 	mb.consecOK++
-	revived := !mb.alive && mb.consecOK >= r.cfg.ReviveThreshold
-	if revived {
+	if !mb.alive && mb.consecOK >= r.cfg.ReviveThreshold {
 		mb.alive = true
+		// Counted before the new ring is visible, so a caller that sees
+		// the member back also sees the revival.
+		r.m.revivals.Inc()
 		r.rebuildRingLocked()
 	}
 	r.mu.Unlock()
-	if revived {
-		r.m.revivals.Inc()
-	}
 }
 
 // noteFailure records a failed interaction (probe failure or a
@@ -96,11 +95,11 @@ func (r *Router) noteFailure(id string) {
 	ejected := mb.alive && mb.consecFail >= r.cfg.FailThreshold
 	if ejected {
 		mb.alive = false
+		r.m.ejections.Inc()
 		r.rebuildRingLocked()
 	}
 	r.mu.Unlock()
 	if ejected {
-		r.m.ejections.Inc()
 		go r.refill(id)
 	}
 }

@@ -2,16 +2,11 @@ package cluster
 
 import "indra/internal/obs"
 
-// metrics is the router's handle bundle into the obs registry. Names
-// are stable API: the e2e tests key on them, and operators scrape them
-// from the router's /metrics.
+// metrics is the router's handle bundle into the obs registry, beside
+// its front's cluster.http.* and cluster.cells. Names are stable API:
+// the e2e tests key on them, and operators scrape them from the
+// router's /metrics.
 type metrics struct {
-	httpRequests *obs.Counter // HTTP requests at the router, any endpoint
-	http2xx      *obs.Counter // responses by status class
-	http4xx      *obs.Counter
-	http5xx      *obs.Counter
-
-	cells     *obs.Counter // cell requests (single + batch lines)
 	proxied   *obs.Counter // upstream /v1/cell calls issued to workers
 	coalesced *obs.Counter // requests that joined an in-flight peer (router single-flight)
 	retries   *obs.Counter // failover hops (upstream attempts beyond the first)
@@ -33,11 +28,6 @@ type metrics struct {
 
 func newClusterMetrics(r *obs.Registry) metrics {
 	return metrics{
-		httpRequests:  r.Counter("cluster.http.requests"),
-		http2xx:       r.Counter("cluster.http.2xx"),
-		http4xx:       r.Counter("cluster.http.4xx"),
-		http5xx:       r.Counter("cluster.http.5xx"),
-		cells:         r.Counter("cluster.cells"),
 		proxied:       r.Counter("cluster.proxied"),
 		coalesced:     r.Counter("cluster.coalesced"),
 		retries:       r.Counter("cluster.retries"),
@@ -53,16 +43,5 @@ func newClusterMetrics(r *obs.Registry) metrics {
 		aliveWorkers:  r.Gauge("cluster.workers.alive"),
 		proxyLatency:  r.Histogram("cluster.proxy.latency_us"),
 		probeLatency:  r.Histogram("cluster.probe.latency_us"),
-	}
-}
-
-func (m metrics) status(code int) {
-	switch {
-	case code >= 500:
-		m.http5xx.Inc()
-	case code >= 400:
-		m.http4xx.Inc()
-	default:
-		m.http2xx.Inc()
 	}
 }

@@ -2,20 +2,16 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"indra"
 	"indra/internal/obs"
-	"indra/internal/parallel"
+	"indra/internal/serve"
 )
 
 // Config tunes the router tier. The zero value routes with 128 vnodes,
@@ -41,21 +37,9 @@ type Config struct {
 	// FillEntries bounds the remembered results used to warm a dead
 	// owner's successor (0 selects 4096).
 	FillEntries int
-	// DefaultTimeout is the per-request deadline when the client sends
-	// none (0 selects 120s); MaxTimeout caps client-requested
-	// deadlines (0 selects 15m).
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// MaxRequests and MaxScale mirror the workers' request caps so bad
-	// cells are rejected at the router boundary without a proxy hop
-	// (0 selects 64 and 10).
-	MaxRequests int
-	MaxScale    float64
-	// MaxBatch caps the cells in one /v1/cells request (0 selects 256).
-	MaxBatch int
-	// Concurrency bounds the batch fan-out width at the router —
-	// proxying is IO-bound, so this defaults to 4*GOMAXPROCS.
-	Concurrency int
+	// Limits bound each request at the router; set them to the
+	// workers' limits so bad cells are rejected without a proxy hop.
+	serve.Limits
 	// Reg receives the router's metrics (nil creates a fresh registry).
 	Reg *obs.Registry
 }
@@ -82,24 +66,6 @@ func (c Config) withDefaults() Config {
 	if c.FillEntries <= 0 {
 		c.FillEntries = 4096
 	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 120 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 15 * time.Minute
-	}
-	if c.MaxRequests <= 0 {
-		c.MaxRequests = 64
-	}
-	if c.MaxScale <= 0 {
-		c.MaxScale = 10
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 4 * runtime.GOMAXPROCS(0)
-	}
 	if c.Reg == nil {
 		c.Reg = obs.NewRegistry()
 	}
@@ -120,17 +86,12 @@ type member struct {
 // flight is one in-flight key at the router: concurrent identical
 // requests coalesce onto the first (the leader proxies to the owner,
 // followers wait on done). Entries are removed on completion — repeat
-// requests go back to the owner, whose cache answers them.
+// requests go back to the owner, whose cache answers them. Unlike the
+// worker's result cache this retains nothing, and joins count in
+// cluster.coalesced rather than serve.cache.hits.
 type flight struct {
 	done chan struct{}
-	res  routed
-}
-
-// routed is a Result plus its routing provenance.
-type routed struct {
-	Result
-	Worker string
-	Hops   int
+	res  serve.Cell
 }
 
 // fillEntry is one remembered successful result: enough to warm the
@@ -140,13 +101,13 @@ type fillEntry struct {
 	owner  string
 }
 
-// Router is the cluster front-end: it owns the hash ring, proxies each
-// cell to its owner with failover, health-checks the members, and
-// serves the same HTTP surface as a single indrasrv (clients cannot
-// tell a router from a worker).
+// Router is the cluster's executor behind the shared serve.Front: it
+// owns the hash ring, proxies each cell to its owner with failover,
+// health-checks the members, and adds GET /v1/cluster. Clients cannot
+// tell a router from a worker.
 type Router struct {
+	*serve.Front
 	cfg Config
-	reg *obs.Registry
 	m   metrics
 
 	mu      sync.Mutex
@@ -158,11 +119,6 @@ type Router struct {
 
 	recentMu sync.Mutex
 	recent   map[string]fillEntry
-
-	mux      *http.ServeMux
-	http     *http.Server
-	start    time.Time
-	draining atomic.Bool
 
 	probeStop chan struct{}
 	probeDone chan struct{}
@@ -178,12 +134,10 @@ func New(cfg Config, workers []Worker) (*Router, error) {
 	}
 	r := &Router{
 		cfg:       cfg,
-		reg:       cfg.Reg,
 		m:         newClusterMetrics(cfg.Reg),
 		members:   make(map[string]*member, len(workers)),
 		sf:        make(map[string]*flight),
 		recent:    make(map[string]fillEntry),
-		start:     time.Now(),
 		probeStop: make(chan struct{}),
 		probeDone: make(chan struct{}),
 	}
@@ -197,47 +151,28 @@ func New(cfg Config, workers []Worker) (*Router, error) {
 	}
 	r.ring = NewRing(cfg.Vnodes, ids)
 	r.m.aliveWorkers.Set(uint64(len(ids)))
-	r.mux = http.NewServeMux()
-	r.routes()
-	r.http = &http.Server{Handler: r.mux}
+	r.Front = serve.NewFront(r, serve.Role{
+		Prefix: "cluster",
+		Limits: cfg.Limits,
+		Reg:    cfg.Reg,
+		// Proxying is IO-bound: fan a batch out wider than the cores.
+		Batch:  4 * runtime.GOMAXPROCS(0),
+		Health: r.health,
+	})
+	r.Handle("GET /v1/cluster", r.handleCluster)
 	go r.probeLoop()
 	return r, nil
 }
 
-// Handler returns the router's HTTP handler (for tests and embedding).
-func (r *Router) Handler() http.Handler { return r.mux }
-
-// Serve accepts connections on l until Drain.
-func (r *Router) Serve(l net.Listener) error { return r.http.Serve(l) }
-
-// ListenAndServe listens on addr and serves until Drain.
-func (r *Router) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return r.Serve(l)
-}
-
-// Drain gracefully shuts the router down: probing stops, new cell work
-// is rejected with 503, in-flight requests run to completion (bounded
-// by ctx), and the final metrics snapshot is returned. Workers are not
-// touched — they drain on their own lifecycle.
+// Drain gracefully shuts the router down: new cell work is rejected
+// with 503, in-flight requests run to completion (bounded by ctx),
+// probing stops, and the final metrics snapshot is returned. Workers
+// are not touched — they drain on their own lifecycle.
 func (r *Router) Drain(ctx context.Context) (obs.Snapshot, error) {
-	r.draining.Store(true)
+	_, err := r.Front.Drain(ctx)
 	r.stopOnce.Do(func() { close(r.probeStop) })
 	<-r.probeDone
-	err := r.http.Shutdown(ctx)
-	if errors.Is(err, http.ErrServerClosed) {
-		err = nil
-	}
 	return r.Metrics(), err
-}
-
-// Metrics snapshots the router's registry (cycle = uptime in ms, as in
-// the serving layer).
-func (r *Router) Metrics() obs.Snapshot {
-	return r.reg.Snapshot(uint64(time.Since(r.start).Milliseconds()))
 }
 
 // Alive returns the ids of the workers currently on the ring, sorted.
@@ -257,13 +192,11 @@ func (r *Router) Owner(key string) string {
 
 // ---------------------------------------------------- request path
 
-// runCell routes one validated cell: coalesce identical in-flight
-// requests at the router, then proxy to the key's owner with failover
-// across its deterministic successors.
-func (r *Router) runCell(ctx context.Context, key indra.CellKey, timeout time.Duration) routed {
+// Execute is the router's executor: identical in-flight requests
+// coalesce at the router, and the leader proxies to the key's owner
+// with failover across its deterministic successors.
+func (r *Router) Execute(ctx context.Context, key indra.CellKey, timeout time.Duration) serve.Cell {
 	ks := key.String()
-	r.m.cells.Inc()
-
 	r.sfMu.Lock()
 	if f, ok := r.sf[ks]; ok {
 		r.sfMu.Unlock()
@@ -272,15 +205,14 @@ func (r *Router) runCell(ctx context.Context, key indra.CellKey, timeout time.Du
 		case <-f.done:
 			return f.res
 		case <-ctx.Done():
-			return routed{Result: Result{Key: ks, Status: http.StatusGatewayTimeout,
-				Err: "deadline expired before the cell completed"}}
+			return deadlineCell(ks)
 		}
 	}
 	f := &flight{done: make(chan struct{})}
 	r.sf[ks] = f
 	r.sfMu.Unlock()
 
-	f.res = r.forward(ctx, key, timeout)
+	f.res = r.forward(ctx, key, ks, timeout)
 	r.sfMu.Lock()
 	delete(r.sf, ks)
 	r.sfMu.Unlock()
@@ -288,18 +220,21 @@ func (r *Router) runCell(ctx context.Context, key indra.CellKey, timeout time.Du
 	return f.res
 }
 
+func deadlineCell(key string) serve.Cell {
+	return serve.Cell{Key: key, Status: http.StatusGatewayTimeout, Error: "deadline expired before the cell completed"}
+}
+
 // forward tries the key's owner, then its ring successors, treating
 // worker-level failures (dead process, broken transport, draining) as
 // failover triggers. Cell execution is idempotent — a key pins
 // byte-identical output — so retrying on the new owner is safe.
-func (r *Router) forward(ctx context.Context, key indra.CellKey, timeout time.Duration) routed {
-	ks := key.String()
+func (r *Router) forward(ctx context.Context, key indra.CellKey, ks string, timeout time.Duration) serve.Cell {
 	r.mu.Lock()
 	candidates := r.ring.Owners(ks, r.cfg.MaxHops)
 	r.mu.Unlock()
 	if len(candidates) == 0 {
 		r.m.unrouted.Inc()
-		return routed{Result: Result{Key: ks, Status: http.StatusBadGateway, Err: "no live workers"}}
+		return serve.Cell{Key: ks, Status: http.StatusBadGateway, Error: "no live workers"}
 	}
 	var lastErr error
 	for hop, id := range candidates {
@@ -314,28 +249,28 @@ func (r *Router) forward(ctx context.Context, key indra.CellKey, timeout time.Du
 		}
 		r.m.proxied.Inc()
 		attempt := time.Now()
-		res, err := mb.w.Run(ctx, key, timeout)
+		c, err := mb.w.Run(ctx, key, timeout)
 		r.m.proxyLatency.Observe(uint64(time.Since(attempt).Microseconds()))
 		if err == nil {
 			r.noteSuccess(id)
 			if hop > 0 {
 				r.m.failovers.Inc()
 			}
-			if res.Status == http.StatusOK {
-				r.remember(ks, res.Output, id)
+			if c.Status == http.StatusOK {
+				r.remember(ks, c.Output, id)
 			}
-			return routed{Result: res, Worker: id, Hops: hop}
+			c.Worker, c.Hops = id, hop
+			return c
 		}
 		lastErr = err
 		r.noteFailure(id)
 		if ctx.Err() != nil {
-			return routed{Result: Result{Key: ks, Status: http.StatusGatewayTimeout,
-				Err: "deadline expired before the cell completed"}}
+			return deadlineCell(ks)
 		}
 	}
 	r.m.unrouted.Inc()
-	return routed{Result: Result{Key: ks, Status: http.StatusBadGateway,
-		Err: fmt.Sprintf("all %d owner candidates failed: %v", len(candidates), lastErr)}}
+	return serve.Cell{Key: ks, Status: http.StatusBadGateway,
+		Error: fmt.Sprintf("all %d owner candidates failed: %v", len(candidates), lastErr)}
 }
 
 // remember keeps a bounded copy of successful results so an ejected
@@ -403,86 +338,7 @@ func (r *Router) refill(ejected string) {
 	}
 }
 
-// ---------------------------------------------------- HTTP surface
-
-type errResponse struct {
-	Error string `json:"error"`
-}
-
-// cellResponse is the wire shape of one routed cell: the serve layer's
-// response plus routing provenance (which worker answered, how many
-// failover hops it took).
-type cellResponse struct {
-	Key       string `json:"key"`
-	Output    string `json:"output,omitempty"`
-	Cached    bool   `json:"cached"`
-	ElapsedMS int64  `json:"elapsed_ms"`
-	Status    int    `json:"status"`
-	Error     string `json:"error,omitempty"`
-	Worker    string `json:"worker,omitempty"`
-	Hops      int    `json:"hops,omitempty"`
-}
-
-type cellRequest struct {
-	Key        string  `json:"key,omitempty"`
-	Experiment string  `json:"experiment,omitempty"`
-	Requests   int     `json:"requests,omitempty"`
-	Scale      float64 `json:"scale,omitempty"`
-	Seed       uint32  `json:"seed,omitempty"`
-	TimeoutMS  int64   `json:"timeout_ms,omitempty"`
-}
-
-type cellsRequest struct {
-	Cells     []string `json:"cells"`
-	TimeoutMS int64    `json:"timeout_ms,omitempty"`
-}
-
-func (r *Router) routes() {
-	r.mux.HandleFunc("GET /healthz", r.instrument(r.handleHealthz))
-	r.mux.HandleFunc("GET /metrics", r.instrument(r.handleMetrics))
-	r.mux.HandleFunc("GET /v1/experiments", r.instrument(r.handleExperiments))
-	r.mux.HandleFunc("GET /v1/cluster", r.instrument(r.handleCluster))
-	r.mux.HandleFunc("GET /v1/cell", r.instrument(r.handleCell))
-	r.mux.HandleFunc("POST /v1/cell", r.instrument(r.handleCell))
-	r.mux.HandleFunc("POST /v1/cells", r.instrument(r.handleCells))
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (r *Router) instrument(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, req)
-		r.m.httpRequests.Inc()
-		r.m.status(sw.code)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errResponse{Error: fmt.Sprintf(format, args...)})
-}
+// ---------------------------------------------------- health and topology
 
 // workerHealth is one member's state in the health/topology reports.
 type workerHealth struct {
@@ -517,32 +373,19 @@ func sortedMemberIDs(members map[string]*member) []string {
 	return ids
 }
 
-func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// health is the router's part of /healthz: the member states, "down"
+// (503) with no live worker, "degraded" (still routable: the ring
+// re-hashed) with some.
+func (r *Router) health() (string, int, map[string]any) {
 	states, alive := r.workerStates()
 	status, code := "ok", http.StatusOK
 	switch {
-	case r.draining.Load():
-		status, code = "draining", http.StatusServiceUnavailable
 	case alive == 0:
 		status, code = "down", http.StatusServiceUnavailable
 	case alive < len(states):
-		status = "degraded" // still routable: the ring re-hashed
+		status = "degraded"
 	}
-	writeJSON(w, code, map[string]any{
-		"status":    status,
-		"role":      "router",
-		"uptime_ms": time.Since(r.start).Milliseconds(),
-		"workers":   states,
-		"alive":     alive,
-	})
-}
-
-func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, r.Metrics())
-}
-
-func (r *Router) handleExperiments(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"experiments": indra.Experiments()})
+	return status, code, map[string]any{"role": "router", "workers": states, "alive": alive}
 }
 
 // handleCluster reports topology and routing health: members, ring
@@ -558,7 +401,7 @@ func (r *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
 			"p99_us": h.Quantile(0.99),
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"workers":       states,
 		"alive":         alive,
 		"vnodes":        r.cfg.Vnodes,
@@ -566,179 +409,4 @@ func (r *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
 		"proxy_latency": quantiles("cluster.proxy.latency_us"),
 		"probe_latency": quantiles("cluster.probe.latency_us"),
 	})
-}
-
-// parseCell extracts and validates the cell key of a single-cell
-// request. Invalid input is rejected here, at the router boundary,
-// without a proxy hop.
-func (r *Router) parseCell(req *http.Request) (indra.CellKey, time.Duration, int, error) {
-	var body cellRequest
-	if req.Method == http.MethodGet {
-		q := req.URL.Query()
-		body.Key = q.Get("key")
-		if ms := q.Get("timeout_ms"); ms != "" {
-			n, err := strconv.ParseInt(ms, 10, 64)
-			if err != nil {
-				return indra.CellKey{}, 0, http.StatusBadRequest, fmt.Errorf("bad timeout_ms %q", ms)
-			}
-			body.TimeoutMS = n
-		}
-	} else if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		return indra.CellKey{}, 0, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
-	}
-
-	var key indra.CellKey
-	switch {
-	case body.Key != "":
-		k, err := indra.ParseCellKey(body.Key)
-		if err != nil {
-			return indra.CellKey{}, 0, http.StatusBadRequest, err
-		}
-		key = k
-	case body.Experiment != "":
-		key = indra.CellKey{Experiment: body.Experiment, Requests: body.Requests, Scale: body.Scale, Seed: body.Seed}
-		if key.Requests == 0 {
-			key.Requests = 8
-		}
-		if key.Scale == 0 {
-			key.Scale = 1
-		}
-		if key.Seed == 0 {
-			key.Seed = 1
-		}
-		k, err := indra.ParseCellKey(key.String())
-		if err != nil {
-			return indra.CellKey{}, 0, http.StatusBadRequest, err
-		}
-		key = k
-	default:
-		return indra.CellKey{}, 0, http.StatusBadRequest, errors.New(`missing "key" or "experiment"`)
-	}
-
-	if status, err := r.validate(key); err != nil {
-		return indra.CellKey{}, 0, status, err
-	}
-	return key, r.timeout(body.TimeoutMS), 0, nil
-}
-
-func (r *Router) validate(key indra.CellKey) (int, error) {
-	if !indra.KnownExperiment(key.Experiment) {
-		return http.StatusNotFound, fmt.Errorf("unknown experiment %q", key.Experiment)
-	}
-	if key.Requests > r.cfg.MaxRequests {
-		return http.StatusBadRequest, fmt.Errorf("requests %d exceeds cluster limit %d", key.Requests, r.cfg.MaxRequests)
-	}
-	if key.Scale > r.cfg.MaxScale {
-		return http.StatusBadRequest, fmt.Errorf("scale %g exceeds cluster limit %g", key.Scale, r.cfg.MaxScale)
-	}
-	return 0, nil
-}
-
-func (r *Router) timeout(ms int64) time.Duration {
-	d := r.cfg.DefaultTimeout
-	if ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
-	}
-	if d > r.cfg.MaxTimeout {
-		d = r.cfg.MaxTimeout
-	}
-	return d
-}
-
-// respond converts a routed result to the wire shape, stamping the
-// routing provenance headers for single-cell responses.
-func respond(res routed, elapsed time.Duration) cellResponse {
-	return cellResponse{
-		Key:       res.Key,
-		Output:    res.Output,
-		Cached:    res.Cached,
-		ElapsedMS: elapsed.Milliseconds(),
-		Status:    res.Status,
-		Error:     res.Err,
-		Worker:    res.Worker,
-		Hops:      res.Hops,
-	}
-}
-
-func (r *Router) handleCell(w http.ResponseWriter, req *http.Request) {
-	if r.draining.Load() {
-		writeErr(w, http.StatusServiceUnavailable, "router is draining")
-		return
-	}
-	key, timeout, status, err := r.parseCell(req)
-	if err != nil {
-		writeErr(w, status, "%v", err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(req.Context(), timeout)
-	defer cancel()
-	start := time.Now()
-	res := r.runCell(ctx, key, timeout)
-	if res.Worker != "" {
-		w.Header().Set("X-Indra-Worker", res.Worker)
-		w.Header().Set("X-Indra-Hops", strconv.Itoa(res.Hops))
-	}
-	if res.Status == http.StatusTooManyRequests {
-		// The owner sheds load; surface a drain-generation hint so
-		// clients back off rather than hammering the cluster.
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, res.Status, respond(res, time.Since(start)))
-}
-
-// handleCells answers a batch as NDJSON, one line per cell in
-// completion order — the same contract as a single worker, but each
-// line is routed to its owner with failover.
-func (r *Router) handleCells(w http.ResponseWriter, req *http.Request) {
-	if r.draining.Load() {
-		writeErr(w, http.StatusServiceUnavailable, "router is draining")
-		return
-	}
-	var body cellsRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(body.Cells) == 0 {
-		writeErr(w, http.StatusBadRequest, "empty cells batch")
-		return
-	}
-	if len(body.Cells) > r.cfg.MaxBatch {
-		writeErr(w, http.StatusBadRequest, "batch of %d cells exceeds cluster limit %d", len(body.Cells), r.cfg.MaxBatch)
-		return
-	}
-	keys := make([]indra.CellKey, len(body.Cells))
-	for i, ks := range body.Cells {
-		k, err := indra.ParseCellKey(ks)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "cells[%d]: %v", i, err)
-			return
-		}
-		if status, err := r.validate(k); err != nil {
-			writeErr(w, status, "cells[%d]: %v", i, err)
-			return
-		}
-		keys[i] = k
-	}
-
-	timeout := r.timeout(body.TimeoutMS)
-	ctx, cancel := context.WithTimeout(req.Context(), timeout)
-	defer cancel()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	_, _ = parallel.Stream(parallel.Pool{Workers: r.cfg.Concurrency}, keys,
-		func(_ int, k indra.CellKey) (cellResponse, error) {
-			start := time.Now()
-			return respond(r.runCell(ctx, k, timeout), time.Since(start)), nil
-		},
-		func(_ int, resp cellResponse, _ error) {
-			_ = enc.Encode(resp)
-			if fl != nil {
-				fl.Flush()
-			}
-		})
 }

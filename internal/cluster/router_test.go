@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"indra"
+	"indra/internal/serve"
 )
 
 // stubWorker is an in-memory cluster member with scriptable failure:
@@ -39,25 +41,25 @@ func (s *stubWorker) setDown(down bool) {
 	s.down = down
 }
 
-func (s *stubWorker) Run(ctx context.Context, key indra.CellKey, _ time.Duration) (Result, error) {
+func (s *stubWorker) Run(ctx context.Context, key indra.CellKey, _ time.Duration) (serve.Cell, error) {
 	s.mu.Lock()
 	down, delay := s.down, s.delay
 	s.mu.Unlock()
 	if down {
-		return Result{}, fmt.Errorf("%w: stub %s is down", errWorkerDown, s.id)
+		return serve.Cell{}, fmt.Errorf("%w: stub %s is down", errWorkerDown, s.id)
 	}
 	if delay > 0 {
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
-			return Result{}, ctx.Err()
+			return serve.Cell{}, ctx.Err()
 		}
 	}
 	ks := key.String()
 	s.mu.Lock()
 	s.runs = append(s.runs, ks)
 	s.mu.Unlock()
-	return Result{Key: ks, Output: "out:" + ks + "\n", Status: http.StatusOK}, nil
+	return serve.Cell{Key: ks, Output: "out:" + ks + "\n", Status: http.StatusOK}, nil
 }
 
 func (s *stubWorker) Fill(_ context.Context, key indra.CellKey, output string) error {
@@ -122,23 +124,13 @@ func stubByID(stubs []*stubWorker, id string) *stubWorker {
 	return nil
 }
 
-type wireCell struct {
-	Key    string `json:"key"`
-	Output string `json:"output"`
-	Cached bool   `json:"cached"`
-	Status int    `json:"status"`
-	Error  string `json:"error"`
-	Worker string `json:"worker"`
-	Hops   int    `json:"hops"`
-}
-
-func postCell(t *testing.T, r *Router, key string) (wireCell, *httptest.ResponseRecorder) {
+func postCell(t *testing.T, r *Router, key string) (serve.Cell, *httptest.ResponseRecorder) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, "/v1/cell",
 		strings.NewReader(fmt.Sprintf(`{"key":%q}`, key)))
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, req)
-	var cell wireCell
+	var cell serve.Cell
 	if err := json.NewDecoder(rec.Body).Decode(&cell); err != nil {
 		t.Fatalf("decode %s: %v (body %q)", key, err, rec.Body.String())
 	}
@@ -192,7 +184,7 @@ func TestRouterSingleFlight(t *testing.T) {
 	stubByID(stubs, r.Owner(key)).delay = 50 * time.Millisecond
 
 	const clients = 8
-	outs := make([]wireCell, clients)
+	outs := make([]serve.Cell, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
@@ -328,39 +320,6 @@ func TestRouterRevival(t *testing.T) {
 	}
 }
 
-// TestRouterRejectsInvalidInput: malformed keys, unknown experiments,
-// and over-limit cells are rejected at the router boundary — no proxy
-// hop reaches any worker.
-func TestRouterRejectsInvalidInput(t *testing.T) {
-	r, stubs := newTestRouter(t, Config{}, 3)
-	cases := []struct {
-		key  string
-		want int
-	}{
-		{"fig9/req=0/scale=1/seed=1", http.StatusBadRequest},      // non-positive req
-		{"fig9/bogus=1", http.StatusBadRequest},                   // unknown field
-		{"FIG9/req=1", http.StatusBadRequest},                     // bad id charset
-		{"", http.StatusBadRequest},                               // empty
-		{"no-such-exp/req=1/scale=1/seed=1", http.StatusNotFound}, // parses, not registered
-		{"fig9/req=1000/scale=1/seed=1", http.StatusBadRequest},   // over MaxRequests
-		{"fig9/req=1/scale=500/seed=1", http.StatusBadRequest},    // over MaxScale
-	}
-	for _, tc := range cases {
-		req := httptest.NewRequest(http.MethodPost, "/v1/cell",
-			strings.NewReader(fmt.Sprintf(`{"key":%q}`, tc.key)))
-		rec := httptest.NewRecorder()
-		r.Handler().ServeHTTP(rec, req)
-		if rec.Code != tc.want {
-			t.Errorf("key %q: status %d, want %d", tc.key, rec.Code, tc.want)
-		}
-	}
-	for _, s := range stubs {
-		if s.runCount() != 0 {
-			t.Errorf("worker %s executed %d cells from invalid input", s.id, s.runCount())
-		}
-	}
-}
-
 // TestRouterBatchNDJSON: a batch streams one line per cell, each
 // routed to its owner, all 200.
 func TestRouterBatchNDJSON(t *testing.T) {
@@ -377,9 +336,9 @@ func TestRouterBatchNDJSON(t *testing.T) {
 		t.Fatalf("batch status %d", rec.Code)
 	}
 	dec := json.NewDecoder(rec.Body)
-	got := map[string]wireCell{}
+	got := map[string]serve.Cell{}
 	for dec.More() {
-		var cell wireCell
+		var cell serve.Cell
 		if err := dec.Decode(&cell); err != nil {
 			t.Fatalf("NDJSON decode: %v", err)
 		}
@@ -406,11 +365,12 @@ func TestRouterBatchNDJSON(t *testing.T) {
 	}
 }
 
-// TestRouterDrainRejects: a draining router answers 503 and its
-// healthz flips, without touching workers.
+// TestRouterDrainRejects: a draining router's healthz flips to 503
+// "draining" and keeps its role and member report. (That draining
+// cell requests are answered 503 without reaching a worker is part of
+// the shared validation table, serve's TestRequestValidation.)
 func TestRouterDrainRejects(t *testing.T) {
-	stubs := []*stubWorker{newStub("w0")}
-	r, err := New(Config{ProbeInterval: time.Hour}, []Worker{stubs[0]})
+	r, err := New(Config{ProbeInterval: time.Hour}, []Worker{newStub("w0")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,18 +379,122 @@ func TestRouterDrainRejects(t *testing.T) {
 	if _, err := r.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	_, rec := postCell(t, r, testKey(1))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Errorf("draining router answered %d, want 503", rec.Code)
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var health struct {
+		Status string `json:"status"`
+		Role   string `json:"role"`
+		Alive  int    `json:"alive"`
 	}
-	hreq := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	hrec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(hrec, hreq)
-	if hrec.Code != http.StatusServiceUnavailable {
-		t.Errorf("draining healthz %d, want 503", hrec.Code)
+	if err := json.NewDecoder(rec.Body).Decode(&health); err != nil {
+		t.Fatal(err)
 	}
-	if stubs[0].runCount() != 0 {
-		t.Error("draining router proxied work")
+	if rec.Code != http.StatusServiceUnavailable || health.Status != "draining" || health.Role != "router" || health.Alive != 1 {
+		t.Errorf("draining healthz %d %+v, want 503 draining router with 1 alive", rec.Code, health)
+	}
+}
+
+// TestRouterForwardsRetryAfter: a saturated owner's back-off hint (one
+// queue-drain generation) reaches the client through the router. With
+// one worker slot and a one-deep queue both taken, the owner answers
+// the third distinct key 429 with Retry-After 2, and so must the
+// router.
+func TestRouterForwardsRetryAfter(t *testing.T) {
+	release := make(chan struct{})
+	srv := serve.New(serve.Config{
+		Workers: 1, QueueDepth: 1,
+		Runner: func(indra.CellKey) (string, error) {
+			<-release
+			return "ok", nil
+		},
+	})
+	ws := httptest.NewServer(srv.Handler())
+	defer ws.Close()
+	hw := NewHTTPWorker(ws.URL, nil)
+	defer hw.CloseIdle()
+	r, err := New(Config{ProbeInterval: time.Hour}, []Worker{hw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_, _ = r.Drain(ctx)
+	}()
+	rs := httptest.NewServer(r.Handler())
+	defer rs.Close()
+	// Unblock the runner before the servers close, on every exit path.
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+
+	post := func(key string) *http.Response {
+		resp, err := rs.Client().Post(rs.URL+"/v1/cell", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"key":%q}`, key)))
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	codes := make(chan int, 2)
+	for i := 1; i <= 2; i++ {
+		go func() {
+			code := 0
+			if resp := post(testKey(i)); resp != nil {
+				code = resp.StatusCode
+			}
+			codes <- code
+		}()
+	}
+	// Both admitted: one holds the only worker slot, one is queued.
+	waitFor(t, 5*time.Second, func() bool {
+		return srv.Metrics().Gauges["serve.queue.depth"].Value == 2
+	})
+
+	resp := post(testKey(3))
+	if resp == nil || resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("third distinct key: %v, want 429", resp)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Errorf("router Retry-After %q, want the owner's hint 2", ra)
+	}
+	unblock()
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("blocked cell finished with %d, want 200", code)
+		}
+	}
+}
+
+// TestRouterPassesWorkerRejection: a cell the router admits but its
+// owner rejects (the worker runs tighter limits) comes back with the
+// owner's status and error. The owner's error body carries no cell
+// status, so without the fallback the router would write status 0 and
+// break the connection.
+func TestRouterPassesWorkerRejection(t *testing.T) {
+	srv := serve.New(serve.Config{
+		Limits: serve.Limits{MaxRequests: 8},
+		Runner: func(indra.CellKey) (string, error) { return "ok", nil },
+	})
+	ws := httptest.NewServer(srv.Handler())
+	defer ws.Close()
+	hw := NewHTTPWorker(ws.URL, nil)
+	defer hw.CloseIdle()
+	r, err := New(Config{ProbeInterval: time.Hour}, []Worker{hw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_, _ = r.Drain(ctx)
+	}()
+
+	cell, rec := postCell(t, r, testKey(9))
+	if rec.Code != http.StatusBadRequest || cell.Status != http.StatusBadRequest || !strings.Contains(cell.Error, "exceeds") {
+		t.Errorf("owner-rejected cell: HTTP %d, body status %d error %q, want the owner's 400", rec.Code, cell.Status, cell.Error)
 	}
 }
 

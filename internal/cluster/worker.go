@@ -8,33 +8,23 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"indra"
 	"indra/internal/serve"
 )
 
-// Result is one cell's answer as seen by the router: the worker's
-// /v1/cell response body. Status carries per-cell failures (429, 504,
-// 500) — those are answers, not worker failures, and are returned to
-// the client rather than failed over.
-type Result struct {
-	Key    string
-	Output string
-	Cached bool
-	Status int
-	Err    string
-}
-
 // Worker is one cluster member as the router sees it. Run and Fill
 // return an error only for worker-level failures (the process is dead,
 // the transport broke, the reply was not a cell response); those
-// trigger failover. Cell-level failures ride inside Result.
+// trigger failover. Cell-level failures (429, 504, 500) are answers:
+// they ride inside the Cell and go back to the client.
 type Worker interface {
 	// ID is the stable ring identity (a peer URL or local worker name).
 	ID() string
 	// Run executes (or cache-serves) one cell on this worker.
-	Run(ctx context.Context, key indra.CellKey, timeout time.Duration) (Result, error)
+	Run(ctx context.Context, key indra.CellKey, timeout time.Duration) (serve.Cell, error)
 	// Fill warms this worker's result cache with a completed result.
 	Fill(ctx context.Context, key indra.CellKey, output string) error
 	// Health probes the worker's /healthz (nil = alive and serving).
@@ -69,25 +59,18 @@ func NewHTTPWorker(base string, client *http.Client) *HTTPWorker {
 
 func (w *HTTPWorker) ID() string { return w.base }
 
-// cellBody mirrors serve's cellResponse wire shape.
-type cellBody struct {
-	Key    string `json:"key"`
-	Output string `json:"output"`
-	Cached bool   `json:"cached"`
-	Status int    `json:"status"`
-	Error  string `json:"error"`
-}
-
-func (w *HTTPWorker) Run(ctx context.Context, key indra.CellKey, timeout time.Duration) (Result, error) {
+// Run posts the cell to the worker's /v1/cell and returns its answer,
+// with a 429's Retry-After hint carried in Cell.RetryAfter.
+func (w *HTTPWorker) Run(ctx context.Context, key indra.CellKey, timeout time.Duration) (serve.Cell, error) {
 	body, _ := json.Marshal(map[string]any{"key": key.String(), "timeout_ms": timeout.Milliseconds()})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/cell", bytes.NewReader(body))
 	if err != nil {
-		return Result{}, err
+		return serve.Cell{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.client.Do(req)
 	if err != nil {
-		return Result{}, fmt.Errorf("%w: %v", errWorkerDown, err)
+		return serve.Cell{}, fmt.Errorf("%w: %v", errWorkerDown, err)
 	}
 	defer func() {
 		_, _ = io.Copy(io.Discard, resp.Body)
@@ -97,13 +80,19 @@ func (w *HTTPWorker) Run(ctx context.Context, key indra.CellKey, timeout time.Du
 	// serve cells right now — a worker-level failure to fail over, not
 	// a cell answer. Everything else must parse as a cell response.
 	if resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable {
-		return Result{}, fmt.Errorf("%w: status %d", errWorkerDown, resp.StatusCode)
+		return serve.Cell{}, fmt.Errorf("%w: status %d", errWorkerDown, resp.StatusCode)
 	}
-	var cell cellBody
-	if err := json.NewDecoder(resp.Body).Decode(&cell); err != nil {
-		return Result{}, fmt.Errorf("%w: bad cell response: %v", errWorkerDown, err)
+	var c serve.Cell
+	if err := json.NewDecoder(resp.Body).Decode(&c); err != nil {
+		return serve.Cell{}, fmt.Errorf("%w: bad cell response: %v", errWorkerDown, err)
 	}
-	return Result{Key: cell.Key, Output: cell.Output, Cached: cell.Cached, Status: cell.Status, Err: cell.Error}, nil
+	if c.Status == 0 { // a request-level error body carries only "error"
+		c.Key, c.Status = key.String(), resp.StatusCode
+	}
+	if c.Status == http.StatusTooManyRequests {
+		c.RetryAfter, _ = strconv.Atoi(resp.Header.Get("Retry-After"))
+	}
+	return c, nil
 }
 
 func (w *HTTPWorker) Fill(ctx context.Context, key indra.CellKey, output string) error {
@@ -149,9 +138,9 @@ func (w *HTTPWorker) CloseIdle() { w.client.CloseIdleConnections() }
 // ---------------------------------------------------- local worker
 
 // LocalWorker runs a serve.Server in-process — the single-binary
-// cluster (indrasrv -cluster -local-workers N) and the unit tests'
-// member type. Semantics match HTTPWorker: a draining server is a
-// worker-level failure, cell-level failures ride in Result.
+// cluster (indrasrv -cluster -local-workers N). Semantics match
+// HTTPWorker: a draining server is a worker-level failure, cell-level
+// failures ride in the Cell.
 type LocalWorker struct {
 	id  string
 	srv *serve.Server
@@ -164,15 +153,14 @@ func NewLocalWorker(id string, srv *serve.Server) *LocalWorker {
 
 func (w *LocalWorker) ID() string { return w.id }
 
-// Server exposes the wrapped server (the CLI drains it on shutdown).
-func (w *LocalWorker) Server() *serve.Server { return w.srv }
-
-func (w *LocalWorker) Run(ctx context.Context, key indra.CellKey, timeout time.Duration) (Result, error) {
-	res := w.srv.ExecuteCell(ctx, key, timeout)
-	if res.Status == http.StatusServiceUnavailable {
-		return Result{}, fmt.Errorf("%w: %s", errWorkerDown, res.Err)
+// Run answers the cell through the server's in-process entry, the one
+// its HTTP handlers call after parsing.
+func (w *LocalWorker) Run(ctx context.Context, key indra.CellKey, timeout time.Duration) (serve.Cell, error) {
+	c := w.srv.ExecuteCell(ctx, key, timeout)
+	if c.Status == http.StatusServiceUnavailable {
+		return serve.Cell{}, fmt.Errorf("%w: %s", errWorkerDown, c.Error)
 	}
-	return Result{Key: res.Key, Output: res.Output, Cached: res.Cached, Status: res.Status, Err: res.Err}, nil
+	return c, nil
 }
 
 func (w *LocalWorker) Fill(_ context.Context, key indra.CellKey, output string) error {

@@ -245,6 +245,9 @@ func (f *Fleet) install(n *node, ch *chip.Chip, ports []*netsim.Port, progs []*a
 		}
 		wake[s] = pc
 	}
+	if n.ch != nil && n.ch != ch {
+		n.ch.Release() // the replaced chip is dead; recycle its memory now
+	}
 	n.ch, n.ports, n.progs, n.wake = ch, ports, progs, wake
 	n.enq = make([]uint64, len(f.cfg.Services))
 	n.recBase = chipRecoveries(ch)
@@ -575,6 +578,15 @@ func (f *Fleet) Revive(dst, src int) error {
 	f.res.Recoveries++
 	f.res.Ejections++
 	return nil
+}
+
+// Release recycles every node chip's memory. Call it once the fleet is
+// done for good, after Run and any snapshot reads; the fleet must not
+// run or be inspected afterwards.
+func (f *Fleet) Release() {
+	for _, n := range f.nodes {
+		n.ch.Release()
+	}
 }
 
 // NodeCount returns the cluster size.

@@ -5,6 +5,7 @@ import (
 
 	"indra/internal/asm"
 	"indra/internal/chip"
+	"indra/internal/mem"
 	"indra/internal/netsim"
 	"indra/internal/workload"
 )
@@ -243,6 +244,63 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		breakIt(&cfg)
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: New accepted the config", name)
+		}
+	}
+}
+
+// A chip replaced by a reboot or a TMR revive goes back to the memory
+// pool at once, and Release recycles every node's chip. Released
+// memory has no page-version array left, so its digest is the one a
+// released Physical reports.
+func TestReplacedChipsReleased(t *testing.T) {
+	params := workload.MustByName("httpd")
+	f, err := New(Config{
+		Nodes:    3,
+		Services: []string{"httpd"},
+		Streams:  [][]netsim.Request{params.GenRequests(4, 1)},
+		Rounds:   2,
+		Batch:    2,
+		Policy:   NewReactive(),
+		Boot:     testBoot(t, nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := mem.NewPhysical(mem.PageBytes)
+	gone.Release()
+	empty := gone.VersionDigest()
+	released := func(ch *chip.Chip) bool { return ch.MemVersionDigest() == empty }
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	rebooted, revived := f.nodes[0].ch, f.nodes[1].ch
+	if released(rebooted) || released(revived) {
+		t.Fatal("a live node's chip reads as released")
+	}
+	if err := f.RebootNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Revive(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if !released(rebooted) {
+		t.Error("RebootNode kept the replaced chip's memory")
+	}
+	if !released(revived) {
+		t.Error("Revive kept the replaced chip's memory")
+	}
+
+	live := []*chip.Chip{f.nodes[0].ch, f.nodes[1].ch, f.nodes[2].ch}
+	for i, ch := range live {
+		if released(ch) {
+			t.Fatalf("node %d's new chip reads as released before Release", i)
+		}
+	}
+	f.Release()
+	for i, ch := range live {
+		if !released(ch) {
+			t.Errorf("Release kept node %d's chip memory", i)
 		}
 	}
 }

@@ -2,16 +2,45 @@ package serve
 
 import "indra/internal/obs"
 
-// metrics is the server's handle bundle into the obs registry. Names
-// are stable API: the e2e and soak tests key on them, and operators
-// scrape them from /metrics.
-type metrics struct {
-	httpRequests *obs.Counter // HTTP requests served, any endpoint
-	http2xx      *obs.Counter // responses by status class
-	http4xx      *obs.Counter
-	http5xx      *obs.Counter
+// frontMetrics is a front's handle bundle into the obs registry, named
+// under the role's prefix (serve.* on a worker, cluster.* on a router).
+// Names are stable API: the e2e and soak tests key on them, and
+// operators scrape them from /metrics.
+type frontMetrics struct {
+	requests *obs.Counter // HTTP requests served, any endpoint
+	s2xx     *obs.Counter // responses by status class
+	s4xx     *obs.Counter
+	s5xx     *obs.Counter
+	cells    *obs.Counter // cell requests (single + batch lines)
 
-	cells      *obs.Counter // cell requests (single + batch lines)
+	latency *obs.Histogram // per-HTTP-request latency, µs
+}
+
+func newFrontMetrics(r *obs.Registry, prefix string) frontMetrics {
+	return frontMetrics{
+		requests: r.Counter(prefix + ".http.requests"),
+		s2xx:     r.Counter(prefix + ".http.2xx"),
+		s4xx:     r.Counter(prefix + ".http.4xx"),
+		s5xx:     r.Counter(prefix + ".http.5xx"),
+		cells:    r.Counter(prefix + ".cells"),
+		latency:  r.Histogram(prefix + ".http.latency_us"),
+	}
+}
+
+func (m frontMetrics) status(code int) {
+	switch {
+	case code >= 500:
+		m.s5xx.Inc()
+	case code >= 400:
+		m.s4xx.Inc()
+	default:
+		m.s2xx.Inc()
+	}
+}
+
+// metrics is the worker executor's handle bundle into the obs
+// registry, beside its front's serve.http.* and serve.cells.
+type metrics struct {
 	executions *obs.Counter // simulations actually run (single-flight leaders)
 	cacheHits  *obs.Counter // cell requests answered without executing
 	cacheMiss  *obs.Counter // cell requests that became the executing leader
@@ -24,18 +53,12 @@ type metrics struct {
 	warmFallbacks *obs.Counter // cold boots forced by a snapshot load failure
 
 	queueDepth  *obs.Gauge     // admitted cells (executing + waiting), with high-water
-	httpLatency *obs.Histogram // per-HTTP-request latency, µs
 	cellLatency *obs.Histogram // per-cell latency incl. cache/queue, µs
 	execLatency *obs.Histogram // per-execution simulation latency, µs
 }
 
 func newMetrics(r *obs.Registry) metrics {
 	return metrics{
-		httpRequests:  r.Counter("serve.http.requests"),
-		http2xx:       r.Counter("serve.http.2xx"),
-		http4xx:       r.Counter("serve.http.4xx"),
-		http5xx:       r.Counter("serve.http.5xx"),
-		cells:         r.Counter("serve.cells"),
 		executions:    r.Counter("serve.executions"),
 		cacheHits:     r.Counter("serve.cache.hits"),
 		cacheMiss:     r.Counter("serve.cache.misses"),
@@ -46,19 +69,7 @@ func newMetrics(r *obs.Registry) metrics {
 		warmMiss:      r.Counter("serve.warmboot.misses"),
 		warmFallbacks: r.Counter("serve.warmboot.fallbacks"),
 		queueDepth:    r.Gauge("serve.queue.depth"),
-		httpLatency:   r.Histogram("serve.http.latency_us"),
 		cellLatency:   r.Histogram("serve.cell.latency_us"),
 		execLatency:   r.Histogram("serve.exec.latency_us"),
-	}
-}
-
-func (m metrics) status(code int) {
-	switch {
-	case code >= 500:
-		m.http5xx.Inc()
-	case code >= 400:
-		m.http4xx.Inc()
-	default:
-		m.http2xx.Inc()
 	}
 }

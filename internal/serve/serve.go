@@ -4,10 +4,13 @@
 // bounded worker pool, and returns output byte-identical to the
 // offline indrabench run of the same cell.
 //
-// The serving pipeline, request to response:
+// The package holds the one HTTP surface of the serving tier, Front,
+// and the worker's Executor behind it, Server. A cluster router
+// (internal/cluster) is the other Executor behind the same Front. The
+// worker's pipeline, request to response:
 //
-//	parse → cache (sharded, single-flight) → admission (bounded queue,
-//	429 + Retry-After, per-request deadline) → execute → respond
+//	front: parse, validate, deadline → cache (sharded, single-flight)
+//	→ admission (bounded queue, 429 + Retry-After) → execute → respond
 //
 // Because a cell key pins every output-determining knob and the
 // parallel runner guarantees worker-count independence, the cache can
@@ -29,17 +32,15 @@ package serve
 import (
 	"context"
 	"errors"
-	"net"
 	"net/http"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"indra"
 	"indra/internal/obs"
 )
 
-// Config tunes the server. The zero value serves the full experiment
+// Config tunes a worker. The zero value serves the full experiment
 // registry with GOMAXPROCS concurrent cells, a 4x queue, and a
 // 16-shard cache.
 type Config struct {
@@ -59,17 +60,8 @@ type Config struct {
 	// CacheEntries bounds cached results across all shards
 	// (0 selects 4096).
 	CacheEntries int
-	// DefaultTimeout is the per-request deadline when the client sends
-	// none (0 selects 120s); MaxTimeout caps client-requested
-	// deadlines (0 selects 15m).
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// MaxRequests and MaxScale cap the per-cell workload a client may
-	// ask for (0 selects 64 and 10).
-	MaxRequests int
-	MaxScale    float64
-	// MaxBatch caps the cells in one /v1/cells request (0 selects 256).
-	MaxBatch int
+	// Limits bound each request.
+	Limits
 	// Reg receives the server's metrics (nil creates a fresh registry).
 	Reg *obs.Registry
 	// Warm is the warm-boot snapshot cache cells are stamped out of on
@@ -103,21 +95,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 4096
 	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 120 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 15 * time.Minute
-	}
-	if c.MaxRequests <= 0 {
-		c.MaxRequests = 64
-	}
-	if c.MaxScale <= 0 {
-		c.MaxScale = 10
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
 	if c.Reg == nil {
 		c.Reg = obs.NewRegistry()
 	}
@@ -136,30 +113,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the simulation-as-a-service front-end. Create with New,
-// attach to a listener with Serve (or mount Handler on an existing
-// mux), and stop with Drain.
+// Server is a worker: the shared Front over the local simulation
+// pipeline, plus POST /v1/fill for cluster peer cache fills.
 type Server struct {
-	cfg      Config
-	reg      *obs.Registry
-	m        metrics
-	cache    *resultCache
-	adm      *admission
-	mux      *http.ServeMux
-	http     *http.Server
-	start    time.Time
-	draining atomic.Bool
+	*Front
+	cfg   Config
+	m     metrics
+	cache *resultCache
+	adm   *admission
 }
 
-// New builds a server from cfg (zero value is serviceable).
+// New builds a worker from cfg (zero value is serviceable).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg:   cfg,
-		reg:   cfg.Reg,
-		m:     newMetrics(cfg.Reg),
-		start: time.Now(),
-	}
+	s := &Server{cfg: cfg, m: newMetrics(cfg.Reg)}
 	s.cache = newResultCache(cfg.CacheShards, cfg.CacheEntries, s.m.cacheHits, s.m.cacheMiss)
 	s.adm = newAdmission(cfg.Workers, cfg.QueueDepth, s.m.queueDepth)
 	if cfg.Warm != nil {
@@ -167,66 +134,58 @@ func New(cfg Config) *Server {
 		cfg.Warm.OnMiss = s.m.warmMiss.Inc
 		cfg.Warm.OnFallback = s.m.warmFallbacks.Inc
 	}
-	s.mux = http.NewServeMux()
-	s.routes()
-	s.http = &http.Server{Handler: s.mux}
+	experiments := len(indra.Experiments())
+	s.Front = NewFront(s, Role{
+		Prefix: "serve",
+		Limits: cfg.Limits,
+		Reg:    cfg.Reg,
+		Batch:  cfg.Workers,
+		Health: func() (string, int, map[string]any) {
+			return "ok", http.StatusOK, map[string]any{"experiments": experiments}
+		},
+	})
+	s.Handle("POST /v1/fill", s.handleFill)
 	return s
 }
 
-// Handler returns the server's HTTP handler (for tests and embedding).
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Serve accepts connections on l until Drain or a listener error.
-// Like http.Server.Serve it returns http.ErrServerClosed after a clean
-// drain.
-func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
-
-// ListenAndServe listens on addr and serves until Drain.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
+// Execute is the worker's executor: the result cache with
+// single-flight, then admission, then Config.Runner. The front calls it
+// with a validated key; in-process callers use ExecuteCell.
+func (s *Server) Execute(ctx context.Context, key indra.CellKey, _ time.Duration) Cell {
+	start := time.Now()
+	ks := key.String()
+	out, cached, err := s.cache.do(ctx, ks, func() (string, error) {
+		release, aerr := s.adm.acquire(ctx)
+		if aerr != nil {
+			return "", aerr
+		}
+		defer release()
+		s.m.executions.Inc()
+		execStart := time.Now()
+		o, rerr := s.cfg.Runner(key)
+		s.m.execLatency.Observe(uint64(time.Since(execStart).Microseconds()))
+		return o, rerr
+	})
+	s.m.cellLatency.Observe(uint64(time.Since(start).Microseconds()))
+	c := Cell{Key: ks, Cached: cached}
+	switch {
+	case err == nil:
+		c.Status = http.StatusOK
+		c.Output = out
+	case errors.Is(err, ErrBusy):
+		s.m.rejected.Inc()
+		c.Status = http.StatusTooManyRequests
+		c.Error = err.Error()
+		c.RetryAfter = s.adm.retryAfterSeconds()
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		s.m.deadlines.Inc()
+		c.Status = http.StatusGatewayTimeout
+		c.Error = "deadline expired before the cell completed"
+	default:
+		c.Status = http.StatusInternalServerError
+		c.Error = err.Error()
 	}
-	return s.Serve(l)
-}
-
-// Draining reports whether the server has begun shutting down.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// CellResult mirrors the /v1/cell response body for in-process callers
-// (a cluster router running this server as a local worker).
-type CellResult struct {
-	Key     string
-	Output  string
-	Cached  bool
-	Status  int
-	Err     string
-	Elapsed time.Duration
-}
-
-// ExecuteCell runs one cell through the full serving pipeline — cache
-// with single-flight, admission, execution — exactly as POST /v1/cell
-// would, but without the HTTP layer. timeout 0 selects the server
-// default; client timeouts are clamped to Config.MaxTimeout either
-// way. A draining server answers 503 without touching the cache.
-func (s *Server) ExecuteCell(ctx context.Context, key indra.CellKey, timeout time.Duration) CellResult {
-	if s.draining.Load() {
-		return CellResult{Key: key.String(), Status: http.StatusServiceUnavailable, Err: "server is draining"}
-	}
-	if status, err := s.validate(key); err != nil {
-		return CellResult{Key: key.String(), Status: status, Err: err.Error()}
-	}
-	ctx, cancel := context.WithTimeout(ctx, s.timeout(timeout.Milliseconds()))
-	defer cancel()
-	resp := s.runCell(ctx, key)
-	return CellResult{
-		Key:     resp.Key,
-		Output:  resp.Output,
-		Cached:  resp.Cached,
-		Status:  resp.Status,
-		Err:     resp.Error,
-		Elapsed: time.Duration(resp.ElapsedMS) * time.Millisecond,
-	}
+	return c
 }
 
 // FillCache installs a completed result for key without executing it —
@@ -235,10 +194,10 @@ func (s *Server) ExecuteCell(ctx context.Context, key indra.CellKey, timeout tim
 // whether the result was installed, counting installs in
 // serve.cache.fills.
 func (s *Server) FillCache(key indra.CellKey, output string) bool {
-	if s.draining.Load() {
+	if s.Draining() {
 		return false
 	}
-	if _, err := s.validate(key); err != nil {
+	if _, err := s.role.Limits.validate(key); err != nil {
 		return false
 	}
 	ok := s.cache.fill(key.String(), output)
@@ -248,31 +207,32 @@ func (s *Server) FillCache(key indra.CellKey, output string) bool {
 	return ok
 }
 
-// Kill terminates the server immediately: listeners and all active
-// connections close without draining, as if the process died. The
-// cluster failover tests use it to simulate worker death; production
-// shutdown is Drain.
-func (s *Server) Kill() error {
-	s.draining.Store(true)
-	return s.http.Close()
+// fillRequest is the JSON body of POST /v1/fill: a peer cache fill
+// from a cluster router (the remembered result of a dead owner, warmed
+// into this worker — the key's new owner after the ring re-hash).
+type fillRequest struct {
+	Key    string `json:"key"`
+	Output string `json:"output"`
 }
 
-// Drain gracefully shuts the server down: new cell work is rejected
-// with 503, listeners stop accepting, in-flight requests run to
-// completion (bounded by ctx), and the final metrics snapshot is
-// returned for flushing. Safe to call without a listener attached.
-func (s *Server) Drain(ctx context.Context) (obs.Snapshot, error) {
-	s.draining.Store(true)
-	err := s.http.Shutdown(ctx)
-	if errors.Is(err, http.ErrServerClosed) {
-		err = nil
+func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
+	if s.Draining() {
+		writeErr(w, http.StatusServiceUnavailable, "server is draining")
+		return
 	}
-	return s.Metrics(), err
-}
-
-// Metrics snapshots the server's registry. The snapshot cycle is the
-// server's uptime in milliseconds (the serving layer has no simulated
-// clock of its own).
-func (s *Server) Metrics() obs.Snapshot {
-	return s.reg.Snapshot(uint64(time.Since(s.start).Milliseconds()))
+	var req fillRequest
+	if status, err := decodeBody(w, r, &req); err != nil {
+		writeErr(w, status, "%v", err)
+		return
+	}
+	key, err := indra.ParseCellKey(req.Key)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if status, err := s.role.Limits.validate(key); err != nil {
+		writeErr(w, status, "%v", err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, map[string]bool{"installed": s.FillCache(key, req.Output)})
 }

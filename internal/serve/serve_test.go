@@ -30,7 +30,7 @@ func key(seed uint32) string {
 	return indra.CellKey{Experiment: "fig9", Requests: 1, Scale: 1, Seed: seed}.String()
 }
 
-func postCell(t *testing.T, client *http.Client, base, cellKey string, timeoutMS int64) (*http.Response, cellResponse) {
+func postCell(t *testing.T, client *http.Client, base, cellKey string, timeoutMS int64) (*http.Response, Cell) {
 	t.Helper()
 	body := fmt.Sprintf(`{"key":%q,"timeout_ms":%d}`, cellKey, timeoutMS)
 	resp, err := client.Post(base+"/v1/cell", "application/json", strings.NewReader(body))
@@ -38,11 +38,11 @@ func postCell(t *testing.T, client *http.Client, base, cellKey string, timeoutMS
 		t.Fatalf("POST /v1/cell: %v", err)
 	}
 	defer resp.Body.Close()
-	var cr cellResponse
+	var cr Cell
 	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
 		// Non-cell errors (400/503) decode into the error shape; leave
 		// cr zero in that case.
-		cr = cellResponse{}
+		cr = Cell{}
 	}
 	return resp, cr
 }
@@ -82,7 +82,7 @@ func TestSingleFlightDeduplicates(t *testing.T) {
 
 	const clients = 12
 	var wg sync.WaitGroup
-	outs := make([]cellResponse, clients)
+	outs := make([]Cell, clients)
 	codes := make([]int, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
@@ -242,7 +242,7 @@ func TestDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 	base := "http://" + l.Addr().String()
 	client := &http.Client{Timeout: 10 * time.Second}
 
-	inFlight := make(chan cellResponse, 1)
+	inFlight := make(chan Cell, 1)
 	go func() {
 		_, cr := postCell(t, client, base, key(1), 10_000)
 		inFlight <- cr
@@ -347,7 +347,7 @@ func TestBatchNDJSONStreamsAndDeduplicates(t *testing.T) {
 	}
 	byKey := map[string]string{}
 	for _, line := range lines {
-		var cr cellResponse
+		var cr Cell
 		if err := json.Unmarshal([]byte(line), &cr); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", line, err)
 		}
@@ -364,52 +364,6 @@ func TestBatchNDJSONStreamsAndDeduplicates(t *testing.T) {
 	}
 	if n := execs.Load(); n != 2 {
 		t.Fatalf("runner executed %d times, want 2 (duplicates coalesce)", n)
-	}
-}
-
-func TestRequestValidation(t *testing.T) {
-	srv := New(Config{
-		Workers: 1, QueueDepth: 1, MaxRequests: 8, MaxScale: 2, MaxBatch: 2,
-		Runner: func(indra.CellKey) (string, error) { return "ok", nil },
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	cases := []struct {
-		name string
-		post string
-		body string
-		want int
-	}{
-		{"malformed key", "/v1/cell", `{"key":"fig9/nope"}`, http.StatusBadRequest},
-		{"unknown experiment", "/v1/cell", `{"key":"fig99/req=1/scale=1/seed=1"}`, http.StatusNotFound},
-		{"requests above cap", "/v1/cell", `{"key":"fig9/req=9999/scale=1/seed=1"}`, http.StatusBadRequest},
-		{"scale above cap", "/v1/cell", `{"key":"fig9/req=1/scale=9/seed=1"}`, http.StatusBadRequest},
-		{"missing key and experiment", "/v1/cell", `{}`, http.StatusBadRequest},
-		{"experiment fields", "/v1/cell", `{"experiment":"table4","requests":1}`, http.StatusOK},
-		{"empty batch", "/v1/cells", `{"cells":[]}`, http.StatusBadRequest},
-		{"oversized batch", "/v1/cells", `{"cells":["fig9","fig9","fig9"]}`, http.StatusBadRequest},
-		{"batch bad member", "/v1/cells", `{"cells":["fig99/req=1"]}`, http.StatusNotFound},
-	}
-	for _, tc := range cases {
-		resp, err := ts.Client().Post(ts.URL+tc.post, "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
-		}
-	}
-
-	// GET variant: canonical key in the query string.
-	resp, err := ts.Client().Get(ts.URL + "/v1/cell?key=" + key(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/cell: %d", resp.StatusCode)
 	}
 }
 
@@ -537,11 +491,13 @@ func TestFillInstallsCachedResult(t *testing.T) {
 		t.Fatalf("fill overwrote an executed result: %q", cr.Output)
 	}
 
-	// Invalid fills are rejected at the boundary.
+	// Invalid fills are rejected at the boundary, oversized ones before
+	// they are buffered.
 	for body, want := range map[string]int{
 		`{"key":"fig9/req=0/scale=1/seed=1","output":"x"}`:        http.StatusBadRequest,
 		`{"key":"no-such-exp/req=1/scale=1/seed=1","output":"x"}`: http.StatusNotFound,
 		`not json`: http.StatusBadRequest,
+		`{"key":"fig9/req=1/scale=1/seed=9","output":"` + strings.Repeat("x", maxBodyBytes) + `"}`: http.StatusRequestEntityTooLarge,
 	} {
 		resp, err := ts.Client().Post(ts.URL+"/v1/fill", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -34,7 +34,7 @@ import (
 // Version is the format version this build writes and the only one it
 // reads. Bump on any wire-layout change; there is no cross-version
 // migration — a snapshot is a resumable moment, not an archive format.
-const Version = 1
+const Version = 2
 
 var magic = []byte("INDRSNAP")
 
@@ -71,6 +71,7 @@ func Load(data []byte) (*chip.Chip, error) {
 		return nil, fmt.Errorf("snapshot: rebuilding chip: %w", err)
 	}
 	if err := c.Restore(payload); err != nil {
+		c.Release()
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	return c, nil
@@ -185,7 +186,6 @@ func encodeConfig(w *wire.Writer, cfg chip.Config) {
 	w.U64(cfg.HeartbeatMissLimit)
 	w.Int(int(cfg.Degradation))
 	w.U64(cfg.MetricsEvery)
-	w.Bool(cfg.LegacyDeviceWiring)
 }
 
 func decodeConfig(r *wire.Reader) chip.Config {
@@ -255,7 +255,6 @@ func decodeConfig(r *wire.Reader) chip.Config {
 	cfg.HeartbeatMissLimit = r.U64()
 	cfg.Degradation = chip.DegradationMode(r.Int())
 	cfg.MetricsEvery = r.U64()
-	cfg.LegacyDeviceWiring = r.Bool()
 
 	// Structural ceilings. Every config in a genuine snapshot passed
 	// chip.New once, so real values sit orders of magnitude below these

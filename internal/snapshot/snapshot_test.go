@@ -259,6 +259,11 @@ func TestLoadSurvivesBitFlips(t *testing.T) {
 		if err == nil && c == nil {
 			t.Fatalf("iteration %d: Load returned neither chip nor error", i)
 		}
+		if c != nil {
+			// Recycle the 64 MB memory now: left to the GC cleanup, 500
+			// dropped chips outpace collection and the heap runs away.
+			c.Release()
+		}
 	}
 }
 
