@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -270,26 +271,44 @@ func TestClusterFailoverGoldenSuite(t *testing.T) {
 	victim := -1
 	var victimID string
 	got := map[string]routedCell{}
+	answered := map[string]bool{}
 	c.batchStream(t, keys, func(cell routedCell) {
 		got[cell.Key] = cell
-		// Kill the worker that answered the second completed cell: it
-		// provably owns completed results (the peer-fill corpus) and,
-		// this early in a 22-cell batch, still has keys in flight or
-		// pending (the failover corpus).
-		if len(got) == 2 && victim == -1 {
-			victimID = cell.Worker
-			for i, id := range c.ids {
-				if id == victimID {
-					victim = i
+		answered[cell.Worker] = true
+		if !slices.Contains(c.ids, cell.Worker) {
+			t.Errorf("batch answered by unknown worker %q", cell.Worker)
+			return
+		}
+		if victim != -1 {
+			return
+		}
+		// Kill at the first completion where some worker both answered a
+		// cell (it provably holds completed results: the peer-fill
+		// corpus) and still owns a key not yet answered (the failover
+		// corpus). Kill that worker. It must also be executing a cell
+		// right then: the kill breaks that request, which fails over,
+		// whereas keys still pending at the router when the health
+		// detector ejects the victim go to their new owner without a
+		// hop.
+		for i, id := range c.ids {
+			if !answered[id] || c.srvs[i].Metrics().Gauges["serve.queue.depth"].Value == 0 {
+				continue
+			}
+			for _, key := range keys {
+				if _, done := got[key]; !done && c.router.Owner(key) == id {
+					victim, victimID = i, id
+					break
 				}
 			}
-			if victim == -1 {
-				t.Errorf("batch answered by unknown worker %q", cell.Worker)
-				return
+			if victim != -1 {
+				break
 			}
-			if err := c.srvs[victim].Kill(); err != nil {
-				t.Errorf("kill worker %d: %v", victim, err)
-			}
+		}
+		if victim == -1 {
+			return
+		}
+		if err := c.srvs[victim].Kill(); err != nil {
+			t.Errorf("kill worker %d: %v", victim, err)
 		}
 	})
 

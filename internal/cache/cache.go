@@ -72,6 +72,12 @@ type line struct {
 // slice window with no per-set pointer chase. The set and tag field
 // widths are precomputed at construction; the access path does no
 // iterative bit counting.
+//
+// last memoizes the line the previous access touched (nil when unset)
+// under its line number addr>>lineBits: consecutive fetches walk one
+// line eight instructions at a time, so a repeat access finishes as a
+// hit without decomposing the address or scanning the set. The memo is
+// derived state, reset wherever lines change other than through Access.
 type Cache struct {
 	cfg      Config
 	lines    []line // flat tag array: set s occupies lines[s*assoc : (s+1)*assoc]
@@ -81,6 +87,8 @@ type Cache struct {
 	lineBits uint32
 	clock    uint64
 	stats    Stats
+	last     *line
+	lastLine uint32
 }
 
 // New builds a cache, panicking on invalid configuration (configs are
@@ -143,6 +151,9 @@ type Result struct {
 // Access performs a read (write=false) or write (write=true) of the line
 // containing addr, updating tags, LRU and dirty state.
 func (c *Cache) Access(addr uint32, write bool) Result {
+	if c.repeat(addr, write) {
+		return Result{Hit: true}
+	}
 	c.clock++
 	c.stats.Accesses++
 	set, tag := c.decompose(addr)
@@ -155,6 +166,7 @@ func (c *Cache) Access(addr uint32, write bool) Result {
 					ways[i].dirty = true
 				}
 			}
+			c.last, c.lastLine = &ways[i], addr>>c.lineBits
 			return Result{Hit: true}
 		}
 	}
@@ -187,7 +199,25 @@ func (c *Cache) Access(addr uint32, write bool) Result {
 	v.dirty = write && c.cfg.WriteBack
 	v.lru = c.clock
 	c.stats.Fills++
+	c.last, c.lastLine = v, addr>>c.lineBits
 	return res
+}
+
+// repeat finishes an access to the line the previous access touched,
+// making exactly the updates a hit makes (clock, access count, LRU
+// stamp, and the dirty bit on a write-back store), and reports whether
+// it did. The hierarchy calls it ahead of its miss path.
+func (c *Cache) repeat(addr uint32, write bool) bool {
+	if c.last == nil || addr>>c.lineBits != c.lastLine {
+		return false
+	}
+	c.clock++
+	c.stats.Accesses++
+	c.last.lru = c.clock
+	if write && c.cfg.WriteBack {
+		c.last.dirty = true
+	}
+	return true
 }
 
 // reconstruct rebuilds a line base address from set index and tag.
@@ -212,6 +242,7 @@ func (c *Cache) Contains(addr uint32) bool {
 // explicitly reconstructs memory state through the checkpoint engine.
 func (c *Cache) InvalidateAll() {
 	clear(c.lines)
+	c.last = nil
 }
 
 // Flush writes back all dirty lines, returning how many were dirty.

@@ -99,17 +99,29 @@ func (h *Hierarchy) DRAM() *dram.Model { return h.mem }
 // latency and events. An L1Miss event is the code-origin inspection
 // point: hardware guarantees IL1 contents are immutable, so the L2→IL1
 // interface is where injected code must be caught (Section 2.3.2).
+//
+// Fetch, Load and Store finish a repeat access to the L1 line touched
+// last (an L1 hit by construction) before entering the full path.
 func (h *Hierarchy) Fetch(addr uint32) AccessEvent {
+	if h.l1i.repeat(addr, false) {
+		return AccessEvent{Cycles: h.cfg.L1Latency}
+	}
 	return h.access(h.l1i, addr, false)
 }
 
 // Load models a data read at addr.
 func (h *Hierarchy) Load(addr uint32) AccessEvent {
+	if h.l1d.repeat(addr, false) {
+		return AccessEvent{Cycles: h.cfg.L1Latency}
+	}
 	return h.access(h.l1d, addr, false)
 }
 
 // Store models a data write at addr (write-back, write-allocate).
 func (h *Hierarchy) Store(addr uint32) AccessEvent {
+	if h.l1d.repeat(addr, true) {
+		return AccessEvent{Cycles: h.cfg.L1Latency}
+	}
 	return h.access(h.l1d, addr, true)
 }
 

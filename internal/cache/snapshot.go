@@ -19,8 +19,10 @@ func (c *Cache) EncodeState(w *wire.Writer) {
 	w.U64(c.stats.Evictions)
 }
 
-// DecodeState restores the tag array and counters in place.
+// DecodeState restores the tag array and counters in place, and drops
+// the repeat-access memo (it points at a line of the replaced contents).
 func (c *Cache) DecodeState(r *wire.Reader) {
+	c.last = nil
 	c.clock = r.U64()
 	for i := range c.lines {
 		c.lines[i].tag = r.U32()

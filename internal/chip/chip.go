@@ -140,12 +140,12 @@ type Config struct {
 	// instructions during Run (0 = only the end-of-run snapshot).
 	MetricsEvery uint64
 
-	// ScalarDispatch forces per-instruction stepping even on chips the
-	// block-threaded executor could drive (exactly one resurrectee).
-	// Host-side execution strategy, not platform configuration: it is
-	// excluded from snapshot identity (ConfigBytes), and either setting
-	// produces byte-identical simulations — the differential harness
-	// pins that.
+	// ScalarDispatch forces per-instruction Step dispatch on any chip,
+	// instead of the block-threaded executor (which runs single- and
+	// multi-resurrectee chips alike). Host-side execution strategy, not
+	// platform configuration: it is excluded from snapshot identity
+	// (ConfigBytes), and either setting produces byte-identical
+	// simulations — the differential harness pins that.
 	ScalarDispatch bool
 }
 
@@ -218,6 +218,9 @@ type Chip struct {
 	lastDrain  []uint64
 	lastPoll   []uint64 // per-core Instret at the last device-poll boundary
 	ranInstret uint64
+	// budgetAt is each slot's copy of recovery.BudgetStop (noBudget
+	// when none is armed): derived state, kept by refreshBudgetAt.
+	budgetAt []uint64
 
 	// Observability: the sink plus cached registry/tracer handles (nil
 	// when disabled) and the chip's event-time metric handles.
@@ -317,6 +320,7 @@ func New(cfg Config) (*Chip, error) {
 		pending:   make([]*monitor.Violation, cfg.Resurrectees),
 		lastDrain: make([]uint64, cfg.Resurrectees),
 		lastPoll:  make([]uint64, cfg.Resurrectees),
+		budgetAt:  make([]uint64, cfg.Resurrectees),
 		sink:      cfg.Obs,
 		reg:       cfg.Obs.Registry(),
 		tr:        cfg.Obs.Tracer(),
@@ -470,9 +474,10 @@ func (c *Chip) Recovery() *recovery.Manager { return c.rec }
 func (c *Chip) Watchdog() *watchdog.Watchdog { return c.wd }
 
 // SetScalarDispatch flips the execution strategy of an already-built
-// chip — the differential harness restores a snapshot into a twin and
-// forces it onto the per-instruction path. Only meaningful between Run
-// calls; either setting produces byte-identical simulations.
+// chip, single- or multi-resurrectee — the differential harness
+// restores a snapshot into a twin and forces it onto the
+// per-instruction path. Only meaningful between Run calls; either
+// setting produces byte-identical simulations.
 func (c *Chip) SetScalarDispatch(v bool) { c.cfg.ScalarDispatch = v }
 
 // Release returns the chip's physical-memory buffers to the shared
@@ -655,6 +660,7 @@ func (c *Chip) switchProcess(idx int) bool {
 	core.SetHalted(false)
 	core.AddCycles(ContextSwitchCycles)
 	st.switchReq = false
+	c.refreshBudgetAt(idx)
 	c.tr.Instant("context-switch", core.ID, core.Cycles())
 	return true
 }

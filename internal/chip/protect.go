@@ -144,6 +144,7 @@ func (c *Chip) escalateStall(idx int) {
 		port.Abort(p.CurrentReq, now)
 	}
 	c.pending[idx] = nil
+	defer c.refreshBudgetAt(idx)
 
 	limit := c.cfg.HeartbeatMissLimit
 	if limit > 0 && c.hb[c.resOf(idx)].Misses() > limit {

@@ -38,6 +38,8 @@ func (c *Chip) syscall(idx int, core *cpu.Core, num int) (uint64, error) {
 	if p.Halted {
 		core.SetHalted(true)
 	}
+	// Requests start and end inside syscalls: re-read the budget stop.
+	c.refreshBudgetAt(idx)
 	return cycles, err
 }
 
@@ -196,6 +198,7 @@ func (c *Chip) recoverSlot(idx int, cause error) {
 		port.Abort(p.CurrentReq, core.Cycles())
 	}
 	c.pending[idx] = nil
+	defer c.refreshBudgetAt(idx) // each path below ends, replaces or halts the request
 	if c.cfg.RebootRecovery {
 		if err := c.rebootSlot(idx); err != nil {
 			panic(err) // respawn of a previously loadable image cannot fail
@@ -228,19 +231,39 @@ var ErrInstrLimit = errors.New("chip: instruction limit reached")
 // streams drained) or the instruction cap is hit. Faults and monitor
 // detections trigger recovery in-line, exactly as the resurrector's
 // stall/recover/resume control would.
+//
+// Each round gives every populated slot one visit, then runs the
+// post-step sequence for it. A visit is one Step under ScalarDispatch;
+// otherwise it is a RunBlocks call. Multi-resurrectee chips visit each
+// core for one instruction attempt per round: their cores interleave
+// per instruction through shared DRAM open-row state, the resurrector
+// clocks and the frame allocator, an order longer visits would
+// perturb. A single-resurrectee chip folds every post-step trigger into
+// its visit budget instead (visitBudget), so a visit can never run
+// *past* a boundary a one-attempt visit would have acted on — it can
+// only stop early (fault, halt, syscall, or an emission that flagged a
+// pending violation), after which the post-step sequence runs at the
+// same instruction boundary.
 func (c *Chip) Run(maxInstr uint64) (RunResult, error) {
-	if len(c.cores) == 1 && !c.cfg.ScalarDispatch {
-		return c.runThreaded(maxInstr)
-	}
 	var res RunResult
 	if maxInstr == 0 {
 		maxInstr = 1 << 62
 	}
+	for idx := range c.slots {
+		c.refreshBudgetAt(idx)
+	}
+	// Frames are queued host-side between Run calls, never during one,
+	// so pending device work can only drain here: NeedsPoll is re-read
+	// after each poll and nowhere else.
+	pollPending := c.registry.NeedsPoll()
+	fold := len(c.cores) == 1
 	for {
 		allHalted := true
 		var executed uint64
 		for idx, core := range c.cores {
-			if c.slots[idx].activeProc() == nil {
+			st := &c.slots[idx]
+			p := st.activeProc()
+			if p == nil {
 				continue
 			}
 			if core.Halted() {
@@ -249,28 +272,35 @@ func (c *Chip) Run(maxInstr uint64) (RunResult, error) {
 				// unrecoverable detection — recoverable ones resumed the
 				// core already). Mark it and hand the core to the next
 				// runnable process, if any.
-				if p := c.slots[idx].activeProc(); !p.Halted {
-					p.Halted = true
-				}
+				p.Halted = true
 				if !c.switchProcess(idx) {
 					continue
 				}
+				p = st.activeProc()
 			}
 			allHalted = false
 			c.activeIdx = idx
-			p := c.slots[idx].activeProc()
 
-			err := core.Step()
-			executed++
+			var n uint64
+			var err error
+			switch {
+			case c.cfg.ScalarDispatch:
+				n, err = 1, core.Step()
+			case fold:
+				n, err = core.RunBlocks(c.visitBudget(idx, maxInstr-res.Instret, pollPending))
+			default:
+				n, err = core.RunBlocks(1)
+			}
+			executed += n
 
 			// Give the monitor a chance to catch up periodically even
 			// when the core emits no records (e.g. injected-code loops).
 			// The same point checks the resurrector's heartbeat: a record
 			// sitting unverified past the interval means the monitor
 			// stalled, and the chip escalates on the resurrectee's behalf.
-			if c.cfg.Monitoring && core.Stats().Instret-c.lastDrain[idx] >= c.cfg.DrainInterval {
+			if c.cfg.Monitoring && core.Instret()-c.lastDrain[idx] >= c.cfg.DrainInterval {
 				c.drainUntil(idx, core.Cycles())
-				c.lastDrain[idx] = core.Stats().Instret
+				c.lastDrain[idx] = core.Instret()
 				if c.checkHeartbeat(idx, core.Cycles()) {
 					c.escalateStall(idx)
 					if core.Halted() {
@@ -281,9 +311,10 @@ func (c *Chip) Run(maxInstr uint64) (RunResult, error) {
 
 			// Pollable devices (DMA engines with queued work) get a turn
 			// at fixed instruction boundaries; idle devices cost nothing.
-			if c.registry.NeedsPoll() && core.Stats().Instret-c.lastPoll[idx] >= DevicePollInterval {
+			if pollPending && core.Instret()-c.lastPoll[idx] >= DevicePollInterval {
 				c.registry.Poll(core.Cycles())
-				c.lastPoll[idx] = core.Stats().Instret
+				c.lastPoll[idx] = core.Instret()
+				pollPending = c.registry.NeedsPoll()
 			}
 
 			// A halted core stops emitting, but the resurrector keeps
@@ -304,6 +335,12 @@ func (c *Chip) Run(maxInstr uint64) (RunResult, error) {
 				// Faults on a resurrectee are detection events: the
 				// watchdog, page protection or kernel flagged corruption.
 				if !c.canRecover(p) {
+					// The run ends without counting the faulting round.
+					// A folded visit's earlier attempts were complete
+					// rounds of their own; a one-attempt visit's round
+					// includes the other cores' attempts, dropped too.
+					res.Instret += n - 1
+					c.ranInstret += n - 1
 					return res, fmt.Errorf("chip: unrecoverable fault (scheme=%v): %w", c.cfg.Scheme, err)
 				}
 				c.recoverSlot(idx, err)
@@ -314,10 +351,10 @@ func (c *Chip) Run(maxInstr uint64) (RunResult, error) {
 				if c.canRecover(p) {
 					c.recoverSlot(idx, fmt.Errorf("halt during request"))
 				}
-			case c.rec.OverBudget(p, core):
+			case core.Instret() >= c.budgetAt[idx] && c.rec.OverBudget(p, core):
 				// Liveness check: the request hung (DoS).
 				c.recoverSlot(idx, fmt.Errorf("instruction budget exceeded"))
-			case c.slots[idx].switchReq && !core.Halted():
+			case st.switchReq && !core.Halted():
 				// Between requests: the OS scheduler rotates processes.
 				c.switchProcess(idx)
 			}
@@ -349,163 +386,57 @@ func (c *Chip) Run(maxInstr uint64) (RunResult, error) {
 	return res, nil
 }
 
-// runThreaded drives a single-resurrectee chip through the core's
-// block-threaded executor. It is observationally identical to the
-// scalar loop above: every condition that loop checks after each
-// instruction is folded into a visit budget, so a visit can never run
-// *past* a boundary the scalar loop would have acted on — it can only
-// stop early (fault, halt, syscall, or an emission that flagged a
-// pending violation), after which the same post-step sequence runs at
-// the same instruction boundary. Multi-resurrectee chips stay on the
-// scalar loop: their cores interleave round-robin through shared DRAM
-// open-row state and the resurrector clocks, an ordering blocks would
-// perturb.
-func (c *Chip) runThreaded(maxInstr uint64) (RunResult, error) {
-	var res RunResult
-	if maxInstr == 0 {
-		maxInstr = 1 << 62
-	}
-	const idx = 0
-	core := c.cores[idx]
-	for {
-		if c.slots[idx].activeProc() == nil {
-			res.Halted = true
-			break
+// visitBudget folds every post-step trigger of slot idx into one visit
+// budget: the visit must end at (or before) the first instruction
+// whose post-step check could fire. left is what remains of the Run's
+// instruction cap.
+func (c *Chip) visitBudget(idx int, left uint64, pollPending bool) uint64 {
+	instret := c.cores[idx].Instret()
+	budget := left
+	// until bounds the visit by a check that fires once count reaches
+	// at. A boundary already reached still allows one attempt, which
+	// then takes its check, exactly as a one-attempt visit would.
+	until := func(count, at uint64) {
+		t := uint64(1)
+		if count < at {
+			t = at - count
 		}
-		if core.Halted() {
-			if p := c.slots[idx].activeProc(); !p.Halted {
-				p.Halted = true
-			}
-			if !c.switchProcess(idx) {
-				res.Halted = true
-				break
-			}
-		}
-		c.activeIdx = idx
-		p := c.slots[idx].activeProc()
-
-		// Fold every post-step trigger into the visit budget: the visit
-		// must end at (or before) the first instruction whose post-step
-		// check could fire. Each term is clamped to at least 1 so a
-		// boundary already reached executes one instruction and then
-		// takes its check, exactly as the scalar loop would.
-		budget := maxInstr - res.Instret
-		if c.cfg.Monitoring {
-			t := uint64(1)
-			if delta := core.Stats().Instret - c.lastDrain[idx]; delta < c.cfg.DrainInterval {
-				t = c.cfg.DrainInterval - delta
-			}
-			if t < budget {
-				budget = t
-			}
-		}
-		if stop, ok := c.rec.BudgetStop(p); ok {
-			t := uint64(1)
-			if instret := core.Stats().Instret; stop > instret {
-				t = stop - instret
-			}
-			if t < budget {
-				budget = t
-			}
-		}
-		if c.cfg.MetricsEvery > 0 {
-			t := uint64(1)
-			if c.obsNext > c.ranInstret {
-				t = c.obsNext - c.ranInstret
-			}
-			if t < budget {
-				budget = t
-			}
-		}
-		// Device-poll boundaries fold in like the others. NeedsPoll can
-		// only flip false mid-visit (a poll consumed the last frame at a
-		// boundary; frames are queued host-side, never during a visit),
-		// so a budget computed while work is pending never overshoots a
-		// boundary the scalar loop would poll at.
-		if c.registry.NeedsPoll() {
-			t := uint64(1)
-			if delta := core.Stats().Instret - c.lastPoll[idx]; delta < DevicePollInterval {
-				t = DevicePollInterval - delta
-			}
-			if t < budget {
-				budget = t
-			}
-		}
-
-		executed, err := core.RunBlocks(budget)
-
-		// The scalar loop's heartbeat escalation `continue`s past the
-		// halted-core drain and the recovery switch; skipChecks is that
-		// continue.
-		skipChecks := false
-		if c.cfg.Monitoring && core.Stats().Instret-c.lastDrain[idx] >= c.cfg.DrainInterval {
-			c.drainUntil(idx, core.Cycles())
-			c.lastDrain[idx] = core.Stats().Instret
-			if c.checkHeartbeat(idx, core.Cycles()) {
-				c.escalateStall(idx)
-				if core.Halted() {
-					skipChecks = true
-				}
-			}
-		}
-
-		if !skipChecks {
-			// The scalar loop's heartbeat `continue` skips the poll too,
-			// so it lives behind the same guard here.
-			if c.registry.NeedsPoll() && core.Stats().Instret-c.lastPoll[idx] >= DevicePollInterval {
-				c.registry.Poll(core.Cycles())
-				c.lastPoll[idx] = core.Stats().Instret
-			}
-
-			if c.cfg.Monitoring && core.Halted() {
-				for {
-					head, ok := c.queues[idx].Pop()
-					if !ok {
-						break
-					}
-					c.verifyAt(idx, head)
-				}
-			}
-
-			switch {
-			case err != nil:
-				if !c.canRecover(p) {
-					// The scalar loop returns before counting the faulting
-					// attempt; the attempts retired earlier in this visit
-					// were its fully-accounted previous rounds.
-					res.Instret += executed - 1
-					c.ranInstret += executed - 1
-					return res, fmt.Errorf("chip: unrecoverable fault (scheme=%v): %w", c.cfg.Scheme, err)
-				}
-				c.recoverSlot(idx, err)
-			case c.pending[idx] != nil:
-				c.recoverSlot(idx, c.pending[idx])
-			case core.Halted() && p.CurrentReq != 0 && !p.Halted:
-				if c.canRecover(p) {
-					c.recoverSlot(idx, fmt.Errorf("halt during request"))
-				}
-			case c.rec.OverBudget(p, core):
-				c.recoverSlot(idx, fmt.Errorf("instruction budget exceeded"))
-			case c.slots[idx].switchReq && !core.Halted():
-				c.switchProcess(idx)
-			}
-		}
-
-		res.Instret += executed
-		c.ranInstret += executed
-		if c.cfg.MetricsEvery > 0 && c.ranInstret >= c.obsNext {
-			for c.ranInstret >= c.obsNext {
-				c.obsNext += c.cfg.MetricsEvery
-			}
-			c.obsSnapshot(core.Cycles())
-		}
-		if res.Instret >= maxInstr {
-			c.finishAccounting(&res)
-			return res, ErrInstrLimit
+		if t < budget {
+			budget = t
 		}
 	}
-	c.finishAccounting(&res)
-	return res, nil
+	if c.cfg.Monitoring {
+		until(instret-c.lastDrain[idx], c.cfg.DrainInterval)
+	}
+	if stop := c.budgetAt[idx]; stop != noBudget {
+		until(instret, stop)
+	}
+	if c.cfg.MetricsEvery > 0 {
+		until(c.ranInstret, c.obsNext)
+	}
+	// A poll can only drain pending work (see Run), so a budget computed
+	// while work is pending never overshoots a boundary a one-attempt
+	// visit would poll at.
+	if pollPending {
+		until(instret-c.lastPoll[idx], DevicePollInterval)
+	}
+	return budget
+}
+
+// noBudget marks a slot with no request instruction budget armed.
+const noBudget = ^uint64(0)
+
+// refreshBudgetAt copies the recovery manager's budget stop for the
+// process on slot idx, so the run loop's liveness check is one compare
+// per visit. The inputs change only at request start and end (inside a
+// syscall), on recovery or heartbeat escalation and on a process
+// switch, which call it, and host-side between Runs, which Run covers
+// on entry.
+func (c *Chip) refreshBudgetAt(idx int) {
+	c.budgetAt[idx] = noBudget
+	if stop, ok := c.rec.BudgetStop(c.slots[idx].activeProc()); ok {
+		c.budgetAt[idx] = stop
+	}
 }
 
 func (c *Chip) finishAccounting(res *RunResult) {

@@ -119,13 +119,15 @@ type Core struct {
 	stats  Stats
 	dec    predecoder
 
-	// blocks is the basic-block cache built over the predecoder (see
-	// block.go); emitted flags that the last executed instruction pushed
-	// a trace record, so the block executor knows when to poll the
-	// environment for a pending violation. bscratch is buildBlock's
-	// reusable staging slice — blocks are appended there and copied out
-	// at exact size, so steady-state block building never regrows.
+	// blocks is the basic-block cache (see block.go) and cur the block
+	// executor's resume point; emitted flags that the last executed
+	// instruction pushed a trace record, so the block executor knows
+	// when to poll the environment for a pending violation. bscratch is
+	// buildBlock's reusable staging slice — blocks are appended there
+	// and copied out at exact size, so steady-state block building
+	// never regrows.
 	blocks   map[uint32]*basicBlock
+	cur      blockCursor
 	emitted  bool
 	bscratch []blockOp
 
@@ -171,6 +173,7 @@ func New(cfg Config) *Core {
 		env:        cfg.Env,
 		dec:        newPredecoder(),
 		blocks:     make(map[uint32]*basicBlock),
+		cur:        blockCursor{pageVA: noPage},
 	}
 }
 
@@ -179,6 +182,7 @@ func New(cfg Config) *Core {
 func (c *Core) SetProcess(pid int, as *oslite.AddressSpace) {
 	c.pid = pid
 	c.as = as
+	c.cur.drop()
 	c.itlb.FlushAll()
 	c.dtlb.FlushAll()
 	c.cam.Reset()
@@ -212,6 +216,10 @@ func (c *Core) SetHalted(h bool) { c.halted = h }
 
 // Stats returns a snapshot of the counters.
 func (c *Core) Stats() Stats { return c.stats }
+
+// Instret returns the retired-instruction count without copying the
+// whole counter set (the run loop reads it after every visit).
+func (c *Core) Instret() uint64 { return c.stats.Instret }
 
 // ResetStats clears counters.
 func (c *Core) ResetStats() { c.stats = Stats{} }
@@ -263,6 +271,7 @@ func (c *Core) Context() oslite.Context {
 func (c *Core) Restore(ctx oslite.Context, flushCaches bool) {
 	copy(c.regs[:], ctx.Regs[:])
 	c.pc = ctx.PC
+	c.cur.drop()
 	if flushCaches {
 		c.hier.InvalidateAll()
 		c.itlb.FlushAll()

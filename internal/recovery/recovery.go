@@ -169,10 +169,10 @@ func (m *Manager) OnRequestStart(p *oslite.Process, core *cpu.Core) uint64 {
 		ctx:       core.Context(),
 		resources: p.SnapshotResources(),
 		shadow:    m.mon.SnapshotShadow(core.ID, p.PID),
-		instret:   core.Stats().Instret,
+		instret:   core.Instret(),
 		valid:     true,
 	}
-	st.reqStartInstret = core.Stats().Instret
+	st.reqStartInstret = core.Instret()
 	return cycles
 }
 
@@ -193,7 +193,7 @@ func (m *Manager) OverBudget(p *oslite.Process, core *cpu.Core) bool {
 	if !st.micro.valid {
 		return false
 	}
-	over := core.Stats().Instret-st.reqStartInstret > m.cfg.InstrBudget
+	over := core.Instret()-st.reqStartInstret > m.cfg.InstrBudget
 	if over {
 		m.stats.BudgetKills++
 	}
@@ -203,9 +203,10 @@ func (m *Manager) OverBudget(p *oslite.Process, core *cpu.Core) bool {
 // BudgetStop returns the core instret value at which the in-flight
 // request crosses the instruction budget — the first count for which
 // OverBudget reports true — and whether a budget is currently armed.
-// The chip's block-threaded run loop bounds each visit with it, so the
-// liveness check fires at exactly the same instruction as per-step
-// evaluation would.
+// The chip's run loop keeps a per-slot copy: it calls OverBudget only
+// once instret reaches the stop, and bounds single-core block visits
+// with it, so the liveness check fires at exactly the same instruction
+// as per-step evaluation would.
 func (m *Manager) BudgetStop(p *oslite.Process) (uint64, bool) {
 	if p == nil || p.CurrentReq == 0 {
 		return 0, false

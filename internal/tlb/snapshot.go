@@ -19,8 +19,11 @@ func (t *TLB) EncodeState(w *wire.Writer) {
 	w.U64(t.stats.Cycles)
 }
 
-// DecodeState restores entries, clock and counters in place.
+// DecodeState restores entries, clock and counters in place, and
+// drops the repeat-access memo (it points at an entry of the replaced
+// contents).
 func (t *TLB) DecodeState(r *wire.Reader) {
+	t.last = nil
 	t.clock = r.U64()
 	for s := range t.sets {
 		for i := range t.sets[s] {

@@ -56,12 +56,19 @@ type entry struct {
 
 // TLB is a set-associative translation cache keyed by virtual page
 // number. Not safe for concurrent use.
+//
+// last memoizes the entry the previous access touched (nil when
+// unset): fetches stay on one code page for long runs, so a repeat
+// access finishes as a hit without the set scan. The memo is derived
+// state, reset wherever entries change other than through Access.
 type TLB struct {
 	cfg     Config
 	sets    [][]entry
 	setMask uint32
 	clock   uint64
 	stats   Stats
+	last    *entry
+	lastVPN uint32
 }
 
 // New builds a TLB, panicking on invalid configuration.
@@ -90,6 +97,12 @@ func (t *TLB) ResetStats() { t.stats = Stats{} }
 // Access touches the translation for vpn and returns the cycles charged
 // (0 on a hit, the walk latency on a miss).
 func (t *TLB) Access(vpn uint32) uint64 {
+	if t.last != nil && vpn == t.lastVPN {
+		t.clock++
+		t.stats.Accesses++
+		t.last.lru = t.clock
+		return 0
+	}
 	t.clock++
 	t.stats.Accesses++
 	set := vpn & t.setMask
@@ -97,6 +110,7 @@ func (t *TLB) Access(vpn uint32) uint64 {
 	for i := range ways {
 		if ways[i].valid && ways[i].vpn == vpn {
 			ways[i].lru = t.clock
+			t.last, t.lastVPN = &ways[i], vpn
 			return 0
 		}
 	}
@@ -113,6 +127,7 @@ func (t *TLB) Access(vpn uint32) uint64 {
 		}
 	}
 	ways[victim] = entry{vpn: vpn, valid: true, lru: t.clock}
+	t.last, t.lastVPN = &ways[victim], vpn
 	return t.cfg.WalkCycles
 }
 
@@ -123,4 +138,5 @@ func (t *TLB) FlushAll() {
 			t.sets[s][w] = entry{}
 		}
 	}
+	t.last = nil
 }

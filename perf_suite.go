@@ -50,9 +50,10 @@ func FullEvaluation(o ExpOptions) error {
 
 // PerfSuite returns the standard performance cells measured by
 // `indrabench -perfcheck` and recorded in BENCH_baseline.json's perf
-// section: the end-to-end evaluation suite, one representative service
-// run, and microbenchmarks of the simulator's hot-path structures
-// (instruction predecode, trace FIFO, cache model, monitor).
+// section: the end-to-end evaluation suite, one representative
+// single-core service run, one multi-core platform, and
+// microbenchmarks of the simulator's hot-path structures (instruction
+// predecode, trace FIFO, cache model, monitor).
 func PerfSuite() []perf.Bench {
 	return []perf.Bench{
 		// End-to-end wall time wobbles with GC pacing and physical-
@@ -85,6 +86,16 @@ func PerfSuite() []perf.Bench {
 			}
 			run.Release()
 			return run.Result.Cycles, nil
+		}},
+		// The ablation-resurrectors platform: two resurrectee cores
+		// (imap and httpd) under one and under two resurrectors, run
+		// serially, so the cell gates the multi-core run loop.
+		{Name: "service-multicore", Iters: 3, Fn: func() (uint64, error) {
+			r, err := AblationResurrectors(ExpOptions{Requests: 4, Scale: 1.0, Seed: 1, Workers: 1})
+			if err != nil {
+				return 0, err
+			}
+			return r.OneResCycles + r.TwoResCycles, nil
 		}},
 		{Name: "micro/isa-predecode", Iters: 5, Fn: func() (uint64, error) {
 			var sink isa.Predecoded
