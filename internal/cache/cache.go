@@ -73,11 +73,14 @@ type line struct {
 // widths are precomputed at construction; the access path does no
 // iterative bit counting.
 //
-// last memoizes the line the previous access touched (nil when unset)
-// under its line number addr>>lineBits: consecutive fetches walk one
-// line eight instructions at a time, so a repeat access finishes as a
-// hit without decomposing the address or scanning the set. The memo is
-// derived state, reset wherever lines change other than through Access.
+// The memo (last, lastLine, lastOK) holds the flat index and the line
+// number addr>>lineBits of the line the previous access touched:
+// consecutive fetches walk one line eight instructions at a time, so
+// the hierarchy finishes a repeat L1 access (repeat) without
+// decomposing the address or scanning the set. It is an index, not a
+// pointer, so setting it in every Access costs no GC write barrier.
+// The memo is derived state, reset wherever lines change other than
+// through Access.
 type Cache struct {
 	cfg      Config
 	lines    []line // flat tag array: set s occupies lines[s*assoc : (s+1)*assoc]
@@ -87,8 +90,9 @@ type Cache struct {
 	lineBits uint32
 	clock    uint64
 	stats    Stats
-	last     *line
+	last     uint32
 	lastLine uint32
+	lastOK   bool
 }
 
 // New builds a cache, panicking on invalid configuration (configs are
@@ -151,9 +155,6 @@ type Result struct {
 // Access performs a read (write=false) or write (write=true) of the line
 // containing addr, updating tags, LRU and dirty state.
 func (c *Cache) Access(addr uint32, write bool) Result {
-	if c.repeat(addr, write) {
-		return Result{Hit: true}
-	}
 	c.clock++
 	c.stats.Accesses++
 	set, tag := c.decompose(addr)
@@ -166,7 +167,7 @@ func (c *Cache) Access(addr uint32, write bool) Result {
 					ways[i].dirty = true
 				}
 			}
-			c.last, c.lastLine = &ways[i], addr>>c.lineBits
+			c.memo(set*c.assoc+uint32(i), addr)
 			return Result{Hit: true}
 		}
 	}
@@ -199,25 +200,32 @@ func (c *Cache) Access(addr uint32, write bool) Result {
 	v.dirty = write && c.cfg.WriteBack
 	v.lru = c.clock
 	c.stats.Fills++
-	c.last, c.lastLine = v, addr>>c.lineBits
+	c.memo(set*c.assoc+uint32(victim), addr)
 	return res
 }
 
 // repeat finishes an access to the line the previous access touched,
 // making exactly the updates a hit makes (clock, access count, LRU
 // stamp, and the dirty bit on a write-back store), and reports whether
-// it did. The hierarchy calls it ahead of its miss path.
+// it did. The hierarchy calls it ahead of Access on its L1s.
 func (c *Cache) repeat(addr uint32, write bool) bool {
-	if c.last == nil || addr>>c.lineBits != c.lastLine {
+	if !c.lastOK || addr>>c.lineBits != c.lastLine {
 		return false
 	}
 	c.clock++
 	c.stats.Accesses++
-	c.last.lru = c.clock
+	l := &c.lines[c.last]
+	l.lru = c.clock
 	if write && c.cfg.WriteBack {
-		c.last.dirty = true
+		l.dirty = true
 	}
 	return true
+}
+
+// memo records lines[i], which now holds addr's line, as the line the
+// last access touched.
+func (c *Cache) memo(i, addr uint32) {
+	c.last, c.lastLine, c.lastOK = i, addr>>c.lineBits, true
 }
 
 // reconstruct rebuilds a line base address from set index and tag.
@@ -242,7 +250,7 @@ func (c *Cache) Contains(addr uint32) bool {
 // explicitly reconstructs memory state through the checkpoint engine.
 func (c *Cache) InvalidateAll() {
 	clear(c.lines)
-	c.last = nil
+	c.lastOK = false
 }
 
 // Flush writes back all dirty lines, returning how many were dirty.

@@ -10,11 +10,12 @@ import (
 	"indra/internal/snapshot/wire"
 )
 
-// The repeat-access memo (Cache.last) is a host-speed shortcut and must
-// be invisible: these tests drive the memoized model and a memo-free
-// reference — the set scan as it stood before the memo, copied below —
-// with the same operation stream and require identical results,
-// counters and serialized state after every operation.
+// The repeat-access memo (Cache.last, lastLine, lastOK) is a host-speed
+// shortcut and must be invisible: these tests drive the memoized model
+// and a memo-free reference — the set scan as it stood before the
+// memo, copied below — with the same operation stream and require
+// identical results, counters and serialized state after every
+// operation.
 
 // refCache is the memo-free reference cache level.
 type refCache struct {
@@ -320,9 +321,10 @@ func TestHierarchyRepeatMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCacheRepeatMatchesReference is the single-level twin: Access
-// results (including write-backs of lines the memo dirtied) on a
-// write-back and a write-through cache.
+// TestCacheRepeatMatchesReference is the single-level twin: the repeat
+// check ahead of Access, as the hierarchy runs it on its L1s, against
+// the reference's Access results (including write-backs of lines the
+// memo dirtied) on a write-back and a write-through cache.
 func TestCacheRepeatMatchesReference(t *testing.T) {
 	for _, cfg := range []Config{
 		{Name: "wb", SizeBytes: 512, LineBytes: 32, Assoc: 2, WriteBack: true},
@@ -343,7 +345,11 @@ func TestCacheRepeatMatchesReference(t *testing.T) {
 				addr = uint32(rng.Intn(48)) * 32
 			}
 			write := rng.Intn(3) == 0
-			if got, want := c.Access(addr, write), ref.Access(addr, write); got != want {
+			got := Result{Hit: true}
+			if !c.repeat(addr, write) {
+				got = c.Access(addr, write)
+			}
+			if want := ref.Access(addr, write); got != want {
 				t.Fatalf("%s step %d access %#x write=%v: %+v, reference %+v", cfg.Name, step, addr, write, got, want)
 			}
 			if c.Stats() != ref.stats {
@@ -362,7 +368,7 @@ func TestDecodeStateResetsRepeatMemo(t *testing.T) {
 	c.EncodeState(&empty)
 	c.Access(0, false) // memoizes line 0
 	c.DecodeState(wire.NewReader(empty.Bytes()))
-	if r := c.Access(0, false); r.Hit {
+	if c.repeat(0, false) {
 		t.Fatal("repeat access hit a line the restored state does not hold")
 	}
 

@@ -20,9 +20,9 @@ func (c *Cache) EncodeState(w *wire.Writer) {
 }
 
 // DecodeState restores the tag array and counters in place, and drops
-// the repeat-access memo (it points at a line of the replaced contents).
+// the repeat-access memo (it names a line of the replaced contents).
 func (c *Cache) DecodeState(r *wire.Reader) {
-	c.last = nil
+	c.lastOK = false
 	c.clock = r.U64()
 	for i := range c.lines {
 		c.lines[i].tag = r.U32()

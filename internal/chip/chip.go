@@ -140,12 +140,13 @@ type Config struct {
 	// instructions during Run (0 = only the end-of-run snapshot).
 	MetricsEvery uint64
 
-	// ScalarDispatch forces per-instruction Step dispatch on any chip,
-	// instead of the block-threaded executor (which runs single- and
-	// multi-resurrectee chips alike). Host-side execution strategy, not
-	// platform configuration: it is excluded from snapshot identity
-	// (ConfigBytes), and either setting produces byte-identical
-	// simulations — the differential harness pins that.
+	// ScalarDispatch makes every run-loop visit one Step on any chip.
+	// Only single-resurrectee chips have another engine (the
+	// block-threaded executor); multi-resurrectee chips Step either
+	// way. Host-side execution strategy, not platform configuration:
+	// it is excluded from snapshot identity (ConfigBytes), and either
+	// setting produces byte-identical simulations — the differential
+	// harness pins that.
 	ScalarDispatch bool
 }
 
@@ -474,8 +475,8 @@ func (c *Chip) Recovery() *recovery.Manager { return c.rec }
 func (c *Chip) Watchdog() *watchdog.Watchdog { return c.wd }
 
 // SetScalarDispatch flips the execution strategy of an already-built
-// chip, single- or multi-resurrectee — the differential harness
-// restores a snapshot into a twin and forces it onto the
+// chip of any shape (see Config.ScalarDispatch) — the differential
+// harness restores a snapshot into a twin and forces it onto the
 // per-instruction path. Only meaningful between Run calls; either
 // setting produces byte-identical simulations.
 func (c *Chip) SetScalarDispatch(v bool) { c.cfg.ScalarDispatch = v }

@@ -233,17 +233,16 @@ var ErrInstrLimit = errors.New("chip: instruction limit reached")
 // stall/recover/resume control would.
 //
 // Each round gives every populated slot one visit, then runs the
-// post-step sequence for it. A visit is one Step under ScalarDispatch;
-// otherwise it is a RunBlocks call. Multi-resurrectee chips visit each
-// core for one instruction attempt per round: their cores interleave
-// per instruction through shared DRAM open-row state, the resurrector
-// clocks and the frame allocator, an order longer visits would
-// perturb. A single-resurrectee chip folds every post-step trigger into
-// its visit budget instead (visitBudget), so a visit can never run
-// *past* a boundary a one-attempt visit would have acted on — it can
-// only stop early (fault, halt, syscall, or an emission that flagged a
-// pending violation), after which the post-step sequence runs at the
-// same instruction boundary.
+// post-step sequence for it. A multi-resurrectee chip's visit is one
+// Step: its cores interleave per instruction through shared DRAM
+// open-row state, the resurrector clocks and the frame allocator, an
+// order longer visits would perturb. A single-resurrectee chip runs a
+// RunBlocks visit whose budget folds in every post-step trigger
+// (visitBudget), so a visit can never run *past* a boundary a
+// one-instruction visit would have acted on — it can only stop early
+// (fault, halt, syscall, or an emission that flagged a pending
+// violation), after which the post-step sequence runs at the same
+// instruction boundary. ScalarDispatch makes every visit a Step.
 func (c *Chip) Run(maxInstr uint64) (RunResult, error) {
 	var res RunResult
 	if maxInstr == 0 {
@@ -283,13 +282,10 @@ func (c *Chip) Run(maxInstr uint64) (RunResult, error) {
 
 			var n uint64
 			var err error
-			switch {
-			case c.cfg.ScalarDispatch:
+			if c.cfg.ScalarDispatch || !fold {
 				n, err = 1, core.Step()
-			case fold:
+			} else {
 				n, err = core.RunBlocks(c.visitBudget(idx, maxInstr-res.Instret, pollPending))
-			default:
-				n, err = core.RunBlocks(1)
 			}
 			executed += n
 
@@ -337,8 +333,8 @@ func (c *Chip) Run(maxInstr uint64) (RunResult, error) {
 				if !c.canRecover(p) {
 					// The run ends without counting the faulting round.
 					// A folded visit's earlier attempts were complete
-					// rounds of their own; a one-attempt visit's round
-					// includes the other cores' attempts, dropped too.
+					// rounds of their own; a Step's round includes the
+					// other cores' attempts, dropped too.
 					res.Instret += n - 1
 					c.ranInstret += n - 1
 					return res, fmt.Errorf("chip: unrecoverable fault (scheme=%v): %w", c.cfg.Scheme, err)
@@ -395,7 +391,7 @@ func (c *Chip) visitBudget(idx int, left uint64, pollPending bool) uint64 {
 	budget := left
 	// until bounds the visit by a check that fires once count reaches
 	// at. A boundary already reached still allows one attempt, which
-	// then takes its check, exactly as a one-attempt visit would.
+	// then takes its check, exactly as a one-instruction visit would.
 	until := func(count, at uint64) {
 		t := uint64(1)
 		if count < at {
@@ -415,7 +411,7 @@ func (c *Chip) visitBudget(idx int, left uint64, pollPending bool) uint64 {
 		until(c.ranInstret, c.obsNext)
 	}
 	// A poll can only drain pending work (see Run), so a budget computed
-	// while work is pending never overshoots a boundary a one-attempt
+	// while work is pending never overshoots a boundary a one-instruction
 	// visit would poll at.
 	if pollPending {
 		until(instret-c.lastPoll[idx], DevicePollInterval)

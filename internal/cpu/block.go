@@ -9,7 +9,7 @@ import (
 	"indra/internal/watchdog"
 )
 
-// Basic-block threaded execution over predecoded instructions.
+// Basic-block threaded execution, built on the predecode cache.
 //
 // The block executor groups predecoded instructions into straight-line
 // blocks ending at control transfers, syscalls, halts and page
@@ -21,13 +21,12 @@ import (
 // The differential harness (internal/isa/difftest) and FuzzBlockBuilder
 // pin that invariant.
 //
-// What the executor elides, and why each elision is safe (the block
-// cursor carries the first two across RunBlocks calls; see resume):
+// What the executor elides, and why each elision is safe within a
+// visit (one RunBlocks call):
 //
-//   - as.Translate per instruction → once per page entry. Mappings
-//     change inside syscalls (sbrk, recovery restore), after which the
-//     cursor is dropped, or host-side, which moves the address space's
-//     mapping generation. Translation is pure (no cycles, no stats).
+//   - as.Translate per instruction → once per page entry. Mappings only
+//     change inside syscalls (sbrk, recovery restore), and a syscall
+//     always ends the visit. Translation is pure (no cycles, no stats).
 //   - wd.Check per fetch → one ranged check per page entry. Watchdog
 //     partitions are reprogrammed only at boot; a page the ranged check
 //     cannot fully clear falls back to exact per-instruction stepping.
@@ -75,35 +74,25 @@ type basicBlock struct {
 // maxBlockOps caps how many dispatch slots one block may hold. Long
 // straight-line code (the workloads' filler functions run hundreds of
 // instructions without a branch) would otherwise decode page-length
-// blocks, and since a visit that starts without a cursor (after a
-// syscall, a fault or a drop) enters mid-run at a fresh entry address,
-// every such entry would re-walk a long overlapping tail. The cap
-// bounds that to linear work; a block ending mid-run simply falls
+// blocks, and since drain boundaries re-enter mid-block at fresh entry
+// addresses, every re-entry would re-walk a long overlapping tail. The
+// cap bounds that to linear work; a block ending mid-run simply falls
 // through to its successor via the same memoized edge a branch uses.
 const maxBlockOps = 64
 
-// buildBlock decodes the block entered at physical address pa. It
-// decodes straight from memory rather than through the predecode
-// cache: a block records its code page's write version, which is the
-// predecoder's own coherence rule, and a cold core would otherwise pay
-// the predecoder's per-page bookkeeping for every word it builds.
+// buildBlock decodes the block entered at physical address pa. Decoding
+// goes through the predecode cache, so block formation inherits its
+// per-page version discipline (and warms it for any scalar fallback).
 func (c *Core) buildBlock(pa uint32) *basicBlock {
 	blk := &basicBlock{pa: pa, version: c.phys.PageVersion(pa)}
 	end := (pa &^ uint32(pageMask)) + oslite.PageBytes
-	decode := func(addr uint32) isa.Predecoded {
-		if addr >= end {
-			return isa.Predecoded{}
-		}
-		return isa.Predecode(c.phys.Read32(addr))
-	}
 	ops := c.bscratch[:0]
-	next := decode(pa) // one-word lookahead: fusion needs the successor
 	for addr := pa; addr < end; {
-		in := next
-		next = decode(addr + isa.InstBytes)
+		in := *c.dec.entry(c.phys, addr)
 		op := blockOp{pred: in, fuse: isa.FuseNone, store: in.Op.IsStore()}
 		term := isa.EndsBlock(&in)
 		if !term && addr+isa.InstBytes < end {
+			next := *c.dec.entry(c.phys, addr+isa.InstBytes)
 			if k := isa.Fuse(&in, &next); k != isa.FuseNone {
 				op.fuse, op.pred2 = k, next
 				if k == isa.FuseLuiAddi {
@@ -111,7 +100,6 @@ func (c *Core) buildBlock(pa uint32) *basicBlock {
 				}
 				blk.ninstr++
 				addr += isa.InstBytes
-				next = decode(addr + isa.InstBytes)
 				term = k == isa.FuseCmpBranch
 			}
 		}
@@ -143,67 +131,14 @@ func (c *Core) blockAt(pa uint32) *basicBlock {
 }
 
 // FlushDerived drops every derived decode structure (the predecode
-// cache, the basic-block cache and the block cursor). Restoring
-// serialized state calls it: all three are deliberately excluded from
-// snapshots — they are provably rebuildable from physical memory — but
-// a chip that executed a different history holds entries whose page
-// versions could collide with the restored ones.
+// cache and the basic-block cache). Restoring serialized state calls
+// it: both caches are deliberately excluded from snapshots — they are
+// provably rebuildable from physical memory — but a chip that executed
+// a different history holds entries whose page versions could collide
+// with the restored ones.
 func (c *Core) FlushDerived() {
 	c.dec = newPredecoder()
 	c.blocks = make(map[uint32]*basicBlock)
-	c.cur.drop()
-}
-
-// noPage is the cursor's "no translated code page" marker: it is not
-// page-aligned, so no PC's page base ever equals it.
-const noPage = 1
-
-// blockCursor is where the block engine stopped, kept across RunBlocks
-// calls so that the next visit resumes mid-block — or mid-pair — with
-// its code page already translated and cleared. Budget-1 visits (the
-// multi-core run loop) would otherwise pay the translation, the ranged
-// watchdog check and the block lookup on every instruction.
-//
-// Like the block cache it is derived state: never serialized, dropped
-// by SetProcess, InstallProcess, Restore and FlushDerived, on any fault
-// and after any syscall, and revalidated on entry (resume).
-type blockCursor struct {
-	as     *oslite.AddressSpace // owner of the translated page
-	gen    uint64               // its mapping generation at translation
-	pageVA uint32               // translated, watchdog-cleared code page (noPage: none)
-	pagePA uint32
-	vpn    uint32
-	pc     uint32      // the PC the last visit stopped at
-	prev   *basicBlock // last block run to its end (successor memo source)
-	blk    *basicBlock // block in progress (nil: look up at the PC)
-	op     int         // next dispatch slot of blk
-	half   bool        // blk.ops[op] is a fused pair whose first half retired
-}
-
-// drop forgets everything: the next visit translates afresh.
-func (k *blockCursor) drop() {
-	*k = blockCursor{pageVA: noPage}
-}
-
-// resume revalidates the cursor on entry to a visit. The page
-// translation holds while the core runs the same address space at the
-// same mapping generation from the PC the last visit stopped at
-// (watchdog partitions are programmed only at boot, so the clearance
-// holds with it). The block in progress holds while its code page's
-// write version has not moved; otherwise the visit looks the block up
-// afresh at the PC, which is where a half-executed pair's second half
-// re-enters as an instruction of its own.
-func (k *blockCursor) resume(c *Core) {
-	if k.pageVA == noPage {
-		return
-	}
-	if c.pc != k.pc || c.as != k.as || c.as.Gen() != k.gen {
-		k.drop()
-		return
-	}
-	if k.blk != nil && k.blk.version != c.phys.PageVersion(k.blk.pa) {
-		k.blk, k.op, k.half = nil, 0, false
-	}
 }
 
 // pendingAfterEmit polls the environment after an instruction whose
@@ -218,111 +153,80 @@ func (c *Core) pendingAfterEmit() bool {
 // block cache and returns how many were consumed (retired instructions
 // plus a final faulting attempt, mirroring the chip run loop's
 // accounting). It may stop early at any instruction boundary — the
-// caller re-evaluates and calls again, and the next call resumes where
-// this one stopped — but it never runs past budget, a fault, a HALT, a
-// syscall, or an emitted trace record whose verification flagged a
-// violation.
+// caller re-evaluates and calls again — but it never runs past budget,
+// a fault, a HALT, a syscall, or an emitted trace record whose
+// verification flagged a violation.
 func (c *Core) RunBlocks(budget uint64) (uint64, error) {
-	c.cur.resume(c)
-	n, err := c.runBlocks(budget)
-	if err != nil {
-		c.cur.drop()
-	}
-	c.cur.pc = c.pc
-	return n, err
-}
-
-func (c *Core) runBlocks(budget uint64) (uint64, error) {
 	var n uint64
 	c.emitted = false
-	k := &c.cur
-visit:
+	var (
+		pageVA uint32 = 1 // not page-aligned: forces the first translate
+		pagePA uint32
+		vpn    uint32
+	)
+	var prev *basicBlock
 	for n < budget && !c.halted {
-		if k.blk == nil {
-			pc := c.pc
-			if pc&3 != 0 {
-				// Unaligned fetch (attack-crafted jump target): one exact
-				// scalar step, then yield the visit.
-				k.drop()
+		pc := c.pc
+		if pc&3 != 0 {
+			// Unaligned fetch (attack-crafted jump target): one exact
+			// scalar step, then yield the visit.
+			return n + 1, c.Step()
+		}
+		if pc&^uint32(pageMask) != pageVA {
+			// New code page: translate once (pure — the per-instruction
+			// TLB timing still runs below) and clear the whole page
+			// through the watchdog with one ranged check.
+			pa, _, err := c.as.Translate(pc)
+			base := pa &^ uint32(pageMask)
+			if err != nil ||
+				!c.wd.CheckRange(c.ID, base, base+oslite.PageBytes, watchdog.Execute) {
+				// Translation fault, or a page the ranged check cannot
+				// fully clear: take one exact scalar step (it redoes
+				// translation and the precise per-address check, and
+				// faults at exactly the right instruction), then yield.
 				return n + 1, c.Step()
 			}
-			if pc&^uint32(pageMask) != k.pageVA {
-				// New code page: translate once (pure — the per-instruction
-				// TLB timing still runs below) and clear the whole page
-				// through the watchdog with one ranged check.
-				pa, _, err := c.as.Translate(pc)
-				base := pa &^ uint32(pageMask)
-				if err != nil ||
-					!c.wd.CheckRange(c.ID, base, base+oslite.PageBytes, watchdog.Execute) {
-					// Translation fault, or a page the ranged check cannot
-					// fully clear: take one exact scalar step (it redoes
-					// translation and the precise per-address check, and
-					// faults at exactly the right instruction), then yield.
-					k.drop()
-					return n + 1, c.Step()
-				}
-				k.as, k.gen = c.as, c.as.Gen()
-				k.pageVA, k.pagePA, k.vpn = pc&^uint32(pageMask), base, pc/oslite.PageBytes
-				k.prev = nil // successor memos never span a translate
-			}
-			pa := k.pagePA + (pc & uint32(pageMask))
+			pageVA, pagePA, vpn = pc&^uint32(pageMask), base, pc/oslite.PageBytes
+			prev = nil // successor memos never span a translate
+		}
+		pa := pagePA + (pc & uint32(pageMask))
 
-			// Block lookup: successor memo first, map second; both validate
-			// entry PA and page version before anything executes.
-			var blk *basicBlock
-			prev := k.prev
+		// Block lookup: successor memo first, map second; both validate
+		// entry PA and page version before anything executes.
+		var blk *basicBlock
+		if prev != nil {
+			if b := prev.succ[0]; b != nil && prev.succVA[0] == pc {
+				blk = b
+			} else if b := prev.succ[1]; b != nil && prev.succVA[1] == pc {
+				blk = b
+			}
+		}
+		if blk != nil && (blk.pa != pa || blk.version != c.phys.PageVersion(pa)) {
+			blk = nil
+		}
+		if blk == nil {
+			blk = c.blockAt(pa)
 			if prev != nil {
-				if b := prev.succ[0]; b != nil && prev.succVA[0] == pc {
-					blk = b
-				} else if b := prev.succ[1]; b != nil && prev.succVA[1] == pc {
-					blk = b
+				slot := 0
+				if prev.succ[0] != nil && prev.succVA[0] != pc {
+					slot = 1
 				}
+				prev.succVA[slot], prev.succ[slot] = pc, blk
 			}
-			if blk != nil && (blk.pa != pa || blk.version != c.phys.PageVersion(pa)) {
-				blk = nil
-			}
-			if blk == nil {
-				blk = c.blockAt(pa)
-				if prev != nil {
-					slot := 0
-					if prev.succ[0] != nil && prev.succVA[0] != pc {
-						slot = 1
-					}
-					prev.succVA[slot], prev.succ[slot] = pc, blk
-				}
-			}
-			k.blk, k.op = blk, 0
 		}
 
-		blk := k.blk
-		for k.op < len(blk.ops) {
+		stale := false
+		for i := range blk.ops {
 			if n >= budget || c.halted {
 				return n, nil
 			}
-			op := &blk.ops[k.op]
+			op := &blk.ops[i]
 			cpc := c.pc
-			cpa := k.pagePA + (cpc & uint32(pageMask))
-			c.stats.Cycles += c.itlb.Access(k.vpn)
+			cpa := pagePA + (cpc & uint32(pageMask))
+			c.stats.Cycles += c.itlb.Access(vpn)
 			c.fetchAt(cpc, cpa)
-			if k.half {
-				// The pair's first half retired already (a budget or
-				// violation stop, or a load that runs its exact step):
-				// the second half takes its own exact step, like a
-				// scalar Step of the instruction at cpc.
-				k.half = false
-				k.op++
-				n++
-				if err := c.execOne(&op.pred2); err != nil {
-					return n, err
-				}
-				if c.emitted && c.pendingAfterEmit() {
-					return n, nil
-				}
-				continue
-			}
 			switch op.fuse {
 			case isa.FuseNone:
-				k.op++
 				n++
 				if err := c.execOne(&op.pred); err != nil {
 					return n, err
@@ -332,31 +236,31 @@ visit:
 				}
 				if op.pred.Op == isa.OpSys {
 					// The kernel may have switched processes, rewound
-					// the PC, remapped pages or armed a request budget:
-					// yield, and start the next visit afresh.
-					k.drop()
+					// the PC or armed a request budget: yield.
 					return n, nil
 				}
 				if op.store && c.phys.PageVersion(blk.pa) != blk.version {
 					// Self-modifying store into this very code page:
 					// everything decoded past this instruction is
 					// stale. Re-enter at the (already advanced) PC.
-					k.blk, k.prev = nil, nil
-					continue visit
+					stale = true
 				}
 
 			case isa.FuseLuiAddi:
-				if (c.emitted && c.pendingAfterEmit()) || n+2 > budget {
-					// The first fetch's origin record flagged a violation
-					// (per-step execution runs exactly the first half and
-					// stops before fetching the second), or the budget
-					// allows one more instruction: retire the first half
-					// now, the second on the next visit.
-					k.half = true
+				if c.emitted && c.pendingAfterEmit() {
+					// The first fetch's origin record flagged a
+					// violation: per-step execution runs exactly the
+					// first half and stops before fetching the second.
 					n++
 					return n, c.execOne(&op.pred)
 				}
-				c.stats.Cycles += c.itlb.Access(k.vpn)
+				if n+2 > budget {
+					// Budget allows one more instruction: the pair's
+					// second half re-enters as its own block next call.
+					n++
+					return n, c.execOne(&op.pred)
+				}
+				c.stats.Cycles += c.itlb.Access(vpn)
 				c.fetchAt(cpc+4, cpa+4)
 				// Both halves are pure ALU: committing them together
 				// after the second fetch is step-for-step identical.
@@ -364,19 +268,21 @@ visit:
 				c.stats.Cycles += 2
 				c.SetReg(int(op.pred.Rd), op.fold)
 				c.pc = cpc + 8
-				k.op++
 				n += 2
 				if c.emitted && c.pendingAfterEmit() {
 					return n, nil
 				}
 
 			case isa.FuseCmpBranch:
-				if (c.emitted && c.pendingAfterEmit()) || n+2 > budget {
-					k.half = true
+				if c.emitted && c.pendingAfterEmit() {
 					n++
 					return n, c.execOne(&op.pred)
 				}
-				c.stats.Cycles += c.itlb.Access(k.vpn)
+				if n+2 > budget {
+					n++
+					return n, c.execOne(&op.pred)
+				}
+				c.stats.Cycles += c.itlb.Access(vpn)
 				c.fetchAt(cpc+4, cpa+4)
 				a, b := &op.pred, &op.pred2
 				rs1, rs2 := c.regs[a.Rs1], c.regs[a.Rs2]
@@ -410,18 +316,15 @@ visit:
 				} else {
 					c.pc = cpc + 8
 				}
-				k.op++
 				n += 2
 				if c.emitted && c.pendingAfterEmit() {
 					return n, nil
 				}
 
 			case isa.FuseLoadOp:
-				// Dispatch-level fusion only: the load takes its exact
-				// scalar step (fault path and checkpoint hooks intact)
-				// and the ALU half follows through the half-pair path at
-				// the top of the loop, in this visit or the next.
-				k.half = true
+				// Dispatch-level fusion only: both halves run their
+				// exact scalar step (the load keeps its fault path and
+				// checkpoint hooks), back to back in one slot.
 				n++
 				if err := c.execOne(&op.pred); err != nil {
 					return n, err
@@ -429,9 +332,28 @@ visit:
 				if c.emitted && c.pendingAfterEmit() {
 					return n, nil
 				}
+				if n >= budget {
+					return n, nil
+				}
+				c.stats.Cycles += c.itlb.Access(vpn)
+				c.fetchAt(cpc+4, cpa+4)
+				n++
+				if err := c.execOne(&op.pred2); err != nil {
+					return n, err
+				}
+				if c.emitted && c.pendingAfterEmit() {
+					return n, nil
+				}
+			}
+			if stale {
+				break
 			}
 		}
-		k.prev, k.blk = blk, nil
+		if stale {
+			prev = nil
+			continue
+		}
+		prev = blk
 	}
 	return n, nil
 }

@@ -119,15 +119,13 @@ type Core struct {
 	stats  Stats
 	dec    predecoder
 
-	// blocks is the basic-block cache (see block.go) and cur the block
-	// executor's resume point; emitted flags that the last executed
-	// instruction pushed a trace record, so the block executor knows
-	// when to poll the environment for a pending violation. bscratch is
-	// buildBlock's reusable staging slice — blocks are appended there
-	// and copied out at exact size, so steady-state block building
-	// never regrows.
+	// blocks is the basic-block cache built over the predecoder (see
+	// block.go); emitted flags that the last executed instruction pushed
+	// a trace record, so the block executor knows when to poll the
+	// environment for a pending violation. bscratch is buildBlock's
+	// reusable staging slice — blocks are appended there and copied out
+	// at exact size, so steady-state block building never regrows.
 	blocks   map[uint32]*basicBlock
-	cur      blockCursor
 	emitted  bool
 	bscratch []blockOp
 
@@ -173,7 +171,6 @@ func New(cfg Config) *Core {
 		env:        cfg.Env,
 		dec:        newPredecoder(),
 		blocks:     make(map[uint32]*basicBlock),
-		cur:        blockCursor{pageVA: noPage},
 	}
 }
 
@@ -182,7 +179,6 @@ func New(cfg Config) *Core {
 func (c *Core) SetProcess(pid int, as *oslite.AddressSpace) {
 	c.pid = pid
 	c.as = as
-	c.cur.drop()
 	c.itlb.FlushAll()
 	c.dtlb.FlushAll()
 	c.cam.Reset()
@@ -271,7 +267,6 @@ func (c *Core) Context() oslite.Context {
 func (c *Core) Restore(ctx oslite.Context, flushCaches bool) {
 	copy(c.regs[:], ctx.Regs[:])
 	c.pc = ctx.PC
-	c.cur.drop()
 	if flushCaches {
 		c.hier.InvalidateAll()
 		c.itlb.FlushAll()

@@ -21,20 +21,12 @@ import (
 // formation + superinstruction fusion, and every architectural
 // outcome — registers, PC, halt flag, counters, fault identity, trace
 // and syscall streams, memory image — must be identical. The chunk
-// seed (see planOf) varies the block engine's visit budgets so
-// mid-pair budget stops and half-executed fusions are exercised too,
-// can force the all-budget-1 visits of the multi-core run loop, and
-// injects events between visits that the block cursor must survive or
-// drop: the Step side gets the same events at the same instruction
-// attempt counts.
+// seed varies the block engine's visit budgets so mid-pair budget
+// stops and half-executed fusions are exercised too.
 
 // fuzzTextBase is where the fuzzed code lands (identity-mapped, two
 // pages so blocks and fused pairs can straddle a page boundary).
 const fuzzTextBase = 0x10000
-
-// fuzzAltBase holds two spare frames with different bytes (the fuzzed
-// code one word on) that the re-map event swaps under the text pages.
-const fuzzAltBase = 0x50000
 
 // fuzzCore builds a fresh core with the code bytes mapped at
 // fuzzTextBase, a data page and a small stack.
@@ -55,9 +47,6 @@ func fuzzCore(code []byte) (*Core, *stubEnv, *mem.Physical) {
 	if err := as.WriteBytes(fuzzTextBase, code); err != nil {
 		panic(err)
 	}
-	if len(code) > isa.InstBytes {
-		phys.WriteBytes(fuzzAltBase, code[isa.InstBytes:])
-	}
 	env := &stubEnv{}
 	core := New(Config{
 		ID:           1,
@@ -75,80 +64,6 @@ func fuzzCore(code []byte) (*Core, *stubEnv, *mem.Physical) {
 	core.SetReg(isa.RSP, stackTop-16)
 	core.SetReg(isa.RGP, dataBase)
 	return core, env, phys
-}
-
-// Events injected between visits (fuzzPlan.event).
-const (
-	evNone = iota
-	evSetPC
-	evRemapText
-	evHostWrite
-	evSetProcess
-	evFlushDerived
-	evKinds
-)
-
-// fuzzPlan is the decoded chunk seed. Bits 0-2 and 3-6 size the first
-// two visit budgets of each three-visit cycle (the third is 64); bit 7
-// makes every budget 1. Bits 8-10 pick an event kind (values past the
-// last kind mean none) and bits 11-15 the number of visits between
-// events, less one.
-type fuzzPlan struct {
-	sizes  [3]uint64
-	event  int
-	period int
-}
-
-func planOf(chunk uint16) fuzzPlan {
-	p := fuzzPlan{
-		sizes:  [3]uint64{1 + uint64(chunk&7), 1 + uint64(chunk>>3&15), 64},
-		event:  int(chunk >> 8 & 7),
-		period: 1 + int(chunk>>11),
-	}
-	if chunk&0x80 != 0 {
-		p.sizes = [3]uint64{1, 1, 1}
-	}
-	if p.event >= evKinds {
-		p.event = evNone
-	}
-	return p
-}
-
-// inject applies the k-th firing of event kind to a core. It depends
-// only on kind, k and the core's state, so both engines see the same
-// event when they stand at the same point.
-func inject(c *Core, phys *mem.Physical, kind, k int) {
-	switch kind {
-	case evSetPC:
-		// Into another block: a word of the text, stepping by an odd
-		// number of words so fused pairs are entered mid-pair too.
-		c.SetPC(fuzzTextBase + uint32(k*13%(2*pageWords))*isa.InstBytes)
-	case evRemapText:
-		// Swap a text page onto a frame with different bytes, then back.
-		page := uint32(k%2) * oslite.PageBytes
-		frame := fuzzAltBase + page
-		if k/2%2 == 1 {
-			frame = fuzzTextBase + page
-		}
-		c.as.Map(fuzzTextBase+page, frame, oslite.PermR|oslite.PermW|oslite.PermX)
-	case evHostWrite:
-		// Host write into the text at or just ahead of the PC: the word
-		// two instructions further on, so the bytes change under the
-		// block in progress.
-		dst := c.PC()&^3 + uint32(k%4)*isa.InstBytes
-		pa, _, err := c.as.Translate(dst)
-		src, _, err2 := c.as.Translate(dst + 2*isa.InstBytes)
-		if err != nil || err2 != nil {
-			return
-		}
-		var w [isa.InstBytes]byte
-		phys.ReadBytes(src, w[:])
-		phys.WriteBytes(pa, w[:])
-	case evSetProcess:
-		c.SetProcess(c.PID(), c.as)
-	case evFlushDerived:
-		c.FlushDerived()
-	}
 }
 
 // fuzzOutcome is everything the two engines must agree on.
@@ -186,18 +101,12 @@ func outcome(c *Core, env *stubEnv, phys *mem.Physical, attempts uint64, err err
 // fuzzCap bounds one fuzz execution (code can loop forever).
 const fuzzCap = 2048
 
-// runScalar executes per-instruction dispatch up to the attempt cap,
-// injecting the plan's event at each attempt count in points.
-func runScalar(code []byte, plan fuzzPlan, points []uint64) fuzzOutcome {
+// runScalar executes per-instruction dispatch up to the attempt cap.
+func runScalar(code []byte) fuzzOutcome {
 	c, env, phys := fuzzCore(code)
 	var n uint64
 	var err error
-	k := 0
 	for n < fuzzCap && !c.Halted() && err == nil {
-		for k < len(points) && points[k] == n {
-			inject(c, phys, plan.event, k)
-			k++
-		}
 		n++
 		err = c.Step()
 	}
@@ -205,20 +114,14 @@ func runScalar(code []byte, plan fuzzPlan, points []uint64) fuzzOutcome {
 }
 
 // runBlocks executes the same attempt count through the block engine,
-// in visits whose budgets cycle through the plan's sizes, injecting
-// the plan's event every period visits. It returns the attempt counts
-// at which events fired, for runScalar to replay.
-func runBlocks(code []byte, plan fuzzPlan) (fuzzOutcome, []uint64) {
+// in visit chunks whose sizes cycle through the chunk seed.
+func runBlocks(code []byte, chunk byte) fuzzOutcome {
 	c, env, phys := fuzzCore(code)
+	sizes := [3]uint64{1 + uint64(chunk&7), 1 + uint64(chunk>>3&15), 64}
 	var n uint64
 	var err error
-	var points []uint64
 	for i := 0; n < fuzzCap && !c.Halted() && err == nil; i++ {
-		if plan.event != evNone && i > 0 && i%plan.period == 0 {
-			inject(c, phys, plan.event, len(points))
-			points = append(points, n)
-		}
-		budget := plan.sizes[i%len(plan.sizes)]
+		budget := sizes[i%len(sizes)]
 		if rest := fuzzCap - n; budget > rest {
 			budget = rest
 		}
@@ -226,7 +129,7 @@ func runBlocks(code []byte, plan fuzzPlan) (fuzzOutcome, []uint64) {
 		k, err = c.RunBlocks(budget)
 		n += k
 	}
-	return outcome(c, env, phys, n, err), points
+	return outcome(c, env, phys, n, err)
 }
 
 // mustAssemble turns source into raw text bytes for the seed corpus.
@@ -252,7 +155,7 @@ func FuzzBlockBuilder(f *testing.F) {
 		addi r4, r4, 2
 	done:
 		halt
-	`), uint16(3))
+	`), byte(3))
 	f.Add(mustAssemble(f, `
 		addi r5, r0, 100
 		mv r10, gp
@@ -265,14 +168,14 @@ func FuzzBlockBuilder(f *testing.F) {
 		bne r8, r0, loop
 		sys 0
 		halt
-	`), uint16(9))
+	`), byte(9))
 	f.Add(mustAssemble(f, `
 		jal lr, sub
 		halt
 	sub:
 		li r9, 0x100008
 		jalr r0, lr, 0
-	`), uint16(17))
+	`), byte(17))
 	// A self-modifying store into the text page: the block cached over
 	// that page must be invalidated exactly like the scalar predecoder.
 	smc := mustAssemble(f, `
@@ -282,46 +185,23 @@ func FuzzBlockBuilder(f *testing.F) {
 		addi r3, r0, 8
 		halt
 	`)
-	f.Add(smc, uint16(1))
+	f.Add(smc, byte(1))
 	// Raw edge cases: empty, a single invalid word, unaligned-target
 	// jump material.
-	f.Add([]byte{}, uint16(0))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint16(5))
+	f.Add([]byte{}, byte(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, byte(5))
 	word := make([]byte, 4)
 	binary.LittleEndian.PutUint32(word, 0x00000000)
-	f.Add(word, uint16(2))
+	f.Add(word, byte(2))
 
-	// One seed per cursor event, on a fusion-rich loop that keeps
-	// running across the events, plus the all-budget-1 visits of the
-	// multi-core run loop. Chunk bits: see planOf.
-	loop := mustAssemble(f, `
-		addi r5, r0, 60
-		mv r10, gp
-	loop:
-		li r1, 0x30028
-		lw r6, 0(r10)
-		add r7, r6, r5
-		sw r7, 4(r10)
-		addi r5, r5, -1
-		slt r8, r0, r5
-		bne r8, r0, loop
-		halt
-	`)
-	for ev := evSetPC; ev < evKinds; ev++ {
-		f.Add(loop, uint16(ev)<<8|uint16(ev)<<11|0x1b)
-	}
-	f.Add(loop, uint16(0x80))
-
-	f.Fuzz(func(t *testing.T, code []byte, chunk uint16) {
+	f.Fuzz(func(t *testing.T, code []byte, chunk byte) {
 		if len(code) > 2*oslite.PageBytes {
 			code = code[:2*oslite.PageBytes]
 		}
-		plan := planOf(chunk)
-		got, points := runBlocks(code, plan)
-		want := runScalar(code, plan, points)
+		want := runScalar(code)
+		got := runBlocks(code, chunk)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("block execution diverges from scalar (plan %+v, events at %v)\nscalar: %+v\nblock:  %+v",
-				plan, points, want, got)
+			t.Fatalf("block execution diverges from scalar\nscalar: %+v\nblock:  %+v", want, got)
 		}
 	})
 }
@@ -345,10 +225,9 @@ func TestBlockBuilderSeedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for chunk := uint16(0); chunk < 32; chunk += 5 {
-		plan := planOf(chunk)
-		want := runScalar(prog.Text, plan, nil)
-		got, _ := runBlocks(prog.Text, plan)
+	for chunk := byte(0); chunk < 32; chunk += 5 {
+		want := runScalar(prog.Text)
+		got := runBlocks(prog.Text, chunk)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("chunk %d: block diverges\nscalar: %+v\nblock:  %+v", chunk, want, got)
 		}

@@ -75,7 +75,6 @@ func (c *Core) DecodeState(r *wire.Reader) {
 func (c *Core) InstallProcess(pid int, as *oslite.AddressSpace) {
 	c.pid = pid
 	c.as = as
-	c.cur.drop()
 }
 
 // ITLB exposes the instruction TLB for chip-level serialization.

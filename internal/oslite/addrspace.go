@@ -80,14 +80,9 @@ type pte struct {
 // consecutive accesses overwhelmingly hit the same page. The cache is
 // purely functional (the TLB model owns translation *timing*) and is
 // invalidated on any Map/Unmap.
-//
-// gen counts mapping changes (Map, Unmap, DecodeState), so a consumer
-// that cached a translation can tell in one compare that it still
-// holds.
 type AddressSpace struct {
 	phys  *mem.Physical
 	pages map[uint32]pte // key: virtual page number
-	gen   uint64
 
 	lastVPN uint32
 	lastPTE pte
@@ -109,7 +104,6 @@ func (as *AddressSpace) Map(va uint32, frame uint32, perm Perm) {
 	}
 	as.pages[vpn(va)] = pte{frame: frame, perm: perm}
 	as.lastOK = false
-	as.gen++
 }
 
 // Unmap removes the translation for the page containing va and returns
@@ -120,13 +114,8 @@ func (as *AddressSpace) Unmap(va uint32) (frame uint32, ok bool) {
 		delete(as.pages, vpn(va))
 	}
 	as.lastOK = false
-	as.gen++
 	return p.frame, ok
 }
-
-// Gen returns the mapping generation: it changes whenever a
-// translation may have changed.
-func (as *AddressSpace) Gen() uint64 { return as.gen }
 
 // Mapped reports whether va has a translation.
 func (as *AddressSpace) Mapped(va uint32) bool {

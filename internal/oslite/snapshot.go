@@ -30,7 +30,6 @@ func (as *AddressSpace) DecodeState(r *wire.Reader) {
 	n := r.Len(4 + 4 + 1)
 	as.pages = make(map[uint32]pte, n)
 	as.lastOK = false
-	as.gen++
 	prev := int64(-1)
 	for i := 0; i < n; i++ {
 		v := r.U32()

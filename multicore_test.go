@@ -5,47 +5,15 @@ import (
 
 	"indra/internal/attack"
 	"indra/internal/chip"
-	"indra/internal/isa/difftest"
 	"indra/internal/netsim"
 	"indra/internal/workload"
 )
-
-// multiRun drives a booted multi-core chip to completion.
-type multiRun func(t *testing.T, ch *chip.Chip) (chip.RunResult, error)
-
-func runDirect(_ *testing.T, ch *chip.Chip) (chip.RunResult, error) { return ch.Run(0) }
-
-// runLockstep drives the chip through the block-vs-scalar lockstep
-// harness; the chip it returns is the one it was given.
-func runLockstep(t *testing.T, ch *chip.Chip) (chip.RunResult, error) {
-	_, res, err := difftest.Loop(difftest.Config{Step: 1_000, Name: t.Name()})(ch, 0)
-	return res, err
-}
 
 // TestTwoResurrecteesOneResurrector runs two different services on two
 // resurrectee cores concurrently, with the single resurrector
 // monitoring both (the paper's general configuration: one or more
 // privileged cores monitoring "the rest of the processor cores").
 func TestTwoResurrecteesOneResurrector(t *testing.T) {
-	twoResurrecteesOneResurrector(t, runDirect)
-}
-
-// TestAttackOnOneCoreLeavesOtherUnharmed: an exploit against the
-// service on core 1 must not disturb the service on core 2.
-func TestAttackOnOneCoreLeavesOtherUnharmed(t *testing.T) {
-	attackOnOneCoreLeavesOtherUnharmed(t, runDirect)
-}
-
-// TestMultiCoreDifferential replays the two chips above under the
-// lockstep harness: the multi-core run loop's one-attempt block visits
-// against a scalar twin, compared every 1000 instruction attempts,
-// with the same assertions on the outcome.
-func TestMultiCoreDifferential(t *testing.T) {
-	t.Run("two-resurrectees", func(t *testing.T) { twoResurrecteesOneResurrector(t, runLockstep) })
-	t.Run("attack-on-one-core", func(t *testing.T) { attackOnOneCoreLeavesOtherUnharmed(t, runLockstep) })
-}
-
-func twoResurrecteesOneResurrector(t *testing.T, run multiRun) {
 	cfg := chip.DefaultConfig()
 	cfg.Resurrectees = 2
 	ch, err := chip.New(cfg)
@@ -68,7 +36,7 @@ func twoResurrecteesOneResurrector(t *testing.T, run multiRun) {
 	p0 := launch(0, "bind", 3)
 	p1 := launch(1, "nfs", 2)
 
-	res, err := run(t, ch)
+	res, err := ch.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +68,9 @@ func twoResurrecteesOneResurrector(t *testing.T, run multiRun) {
 	}
 }
 
-func attackOnOneCoreLeavesOtherUnharmed(t *testing.T, run multiRun) {
+// TestAttackOnOneCoreLeavesOtherUnharmed: an exploit against the
+// service on core 1 must not disturb the service on core 2.
+func TestAttackOnOneCoreLeavesOtherUnharmed(t *testing.T) {
 	cfg := chip.DefaultConfig()
 	cfg.Resurrectees = 2
 	ch, err := chip.New(cfg)
@@ -133,7 +103,7 @@ func attackOnOneCoreLeavesOtherUnharmed(t *testing.T, run multiRun) {
 		t.Fatal(err)
 	}
 
-	if _, err := run(t, ch); err != nil {
+	if _, err := ch.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if len(ch.Violations()) == 0 {

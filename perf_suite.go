@@ -89,8 +89,12 @@ func PerfSuite() []perf.Bench {
 		}},
 		// The ablation-resurrectors platform: two resurrectee cores
 		// (imap and httpd) under one and under two resurrectors, run
-		// serially, so the cell gates the multi-core run loop.
-		{Name: "service-multicore", Iters: 3, Fn: func() (uint64, error) {
+		// serially, so the cell gates the multi-core run loop. Each
+		// iteration builds two chips and allocates ~9 MB, so wall time
+		// swings with GC pacing like the suites above: five
+		// back-to-back runs on one 2-vCPU host ranged from 27% below
+		// to 10% above their median, which the baseline records.
+		{Name: "service-multicore", Iters: 3, NsTol: 0.30, Fn: func() (uint64, error) {
 			r, err := AblationResurrectors(ExpOptions{Requests: 4, Scale: 1.0, Seed: 1, Workers: 1})
 			if err != nil {
 				return 0, err
