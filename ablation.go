@@ -64,7 +64,6 @@ func AblationLineSize(o ExpOptions) (*AblationLineResult, error) {
 		if err != nil {
 			return out{}, err
 		}
-		defer run.Release()
 		if lb == 0 {
 			return out{meanRT: run.Summary.MeanRT}, nil
 		}
@@ -128,7 +127,6 @@ func AblationCAM(o ExpOptions) (*AblationCAMResult, error) {
 		if err != nil {
 			return AblationCAMRow{}, err
 		}
-		defer run.Release()
 		cs := run.Chip.Core(0).Stats()
 		row := AblationCAMRow{Entries: size}
 		if cs.IL1Fills > 0 {
@@ -194,7 +192,6 @@ func AblationMonitorSpeed(o ExpOptions) (*AblationMonitorResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		run.Release()
 		return run.Summary.MeanRT, nil
 	})
 	if err != nil {
@@ -277,7 +274,6 @@ func AblationRollback(o ExpOptions) (*AblationRollbackResult, error) {
 		}
 		eng := ch.Process(0).Ckpt.(*checkpoint.Engine)
 		ops := eng.Stats().LineRestores
-		ch.Release()
 		return result.Cycles, ops, nil
 	}
 
@@ -329,7 +325,6 @@ func AblationSpace(o ExpOptions) (*AblationSpaceResult, error) {
 		if err != nil {
 			return AblationSpaceRow{}, err
 		}
-		defer run.Release()
 		eng := run.Process().Ckpt.(*checkpoint.Engine)
 		tracked := eng.TrackedPages()
 		mapped := run.Process().AS.Pages()
@@ -400,12 +395,9 @@ func AblationResurrectors(o ExpOptions) (*AblationResurrectorsResult, error) {
 				return 0, err
 			}
 		}
-		final, res, err := o.drive(ch, 0)
+		_, res, err := o.drive(ch, 0)
 		if err != nil {
 			return 0, err
-		}
-		if final != nil {
-			final.Release()
 		}
 		return res.Cycles, nil
 	}
@@ -457,7 +449,6 @@ func AblationBPred(o ExpOptions) (*AblationBPredResult, error) {
 		if err != nil {
 			return AblationBPredRow{}, err
 		}
-		defer run.Release()
 		cs := run.Chip.Core(0).Stats()
 		return AblationBPredRow{
 			Entries:     entries,

@@ -132,7 +132,6 @@ func Fig9(o ExpOptions) (*Fig9Result, error) {
 		if err != nil {
 			return Fig9Row{}, err
 		}
-		defer run.Release()
 		st := run.Chip.Core(0).Hierarchy().L1I().Stats()
 		return Fig9Row{Service: name, MissPct: st.MissRate() * 100, IL1Fills: st.Fills}, nil
 	})
@@ -199,7 +198,6 @@ func Fig10(o ExpOptions) (*Fig10Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		defer run.Release()
 		cs := run.Chip.Core(0).Stats()
 		if cs.IL1Fills == 0 {
 			return 0, nil
@@ -270,7 +268,6 @@ func Fig11(o ExpOptions) (*Fig11Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		run.Release()
 		return run.Summary.MeanRT, nil
 	})
 	if err != nil {
@@ -340,7 +337,6 @@ func Fig12(o ExpOptions) (*Fig12Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		run.Release()
 		return run.Summary.MeanRT, nil
 	})
 	if err != nil {
@@ -397,7 +393,6 @@ func Fig13(o ExpOptions) (*Fig13Result, error) {
 		if err != nil {
 			return Fig13Row{}, err
 		}
-		defer run.Release()
 		per := float64(run.Chip.Core(0).Stats().Instret) / float64(run.Summary.Served)
 		return Fig13Row{
 			Service:      name,
@@ -462,7 +457,6 @@ func Fig14(o ExpOptions) (*Fig14Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		run.Release()
 		return run.Summary.MeanRT, nil
 	})
 	if err != nil {
@@ -515,7 +509,6 @@ func Fig15(o ExpOptions) (*Fig15Result, error) {
 		if err != nil {
 			return Fig15Row{}, err
 		}
-		defer run.Release()
 		eng, ok := run.Process().Ckpt.(*checkpoint.Engine)
 		if !ok {
 			return Fig15Row{}, fmt.Errorf("fig15: %s not running the delta engine", name)
@@ -597,14 +590,12 @@ func Fig16(o ExpOptions) (*Fig16Result, error) {
 			if err != nil {
 				return 0, err
 			}
-			run.Release()
 			return run.Summary.MeanRT, nil
 		case vMonitorBackup:
 			run, err := RunService(c.service, o.runOpts(chip.DefaultConfig()))
 			if err != nil {
 				return 0, err
 			}
-			run.Release()
 			return run.Summary.MeanRT, nil
 		default:
 			// Rollback every other request: interleave a crash attack
@@ -637,7 +628,6 @@ func Fig16(o ExpOptions) (*Fig16Result, error) {
 			if p := ch.ActivePort(0); p != nil {
 				port = p
 			}
-			ch.Release()
 			return port.Summarize().MeanRT, nil
 		}
 	})
@@ -736,7 +726,6 @@ func Table2(o ExpOptions) (*Table2Result, error) {
 		if err != nil {
 			return Table2Row{}, err
 		}
-		defer run.Release()
 		row := Table2Row{Attack: tc.kind, Policy: tc.label}
 		if vs := run.Violations(); len(vs) > 0 {
 			row.Detected = true
@@ -819,7 +808,6 @@ func Table3(o ExpOptions) (*Table3Result, error) {
 			if err != nil {
 				return out{}, err
 			}
-			base.Release()
 			return out{meanRT: base.Summary.MeanRT}, nil
 		}
 		params := workload.MustByName(service)
@@ -863,7 +851,6 @@ func Table3(o ExpOptions) (*Table3Result, error) {
 			row.RecoveryCycles = ov.RecoveryCycles / uint64(sum.Aborted)
 			row.RecoveryOps = ov.RecoveryOps / uint64(sum.Aborted)
 		}
-		ch.Release()
 		return out{row: row, meanRT: sum.MeanRT}, nil
 	})
 	if err != nil {

@@ -167,7 +167,6 @@ func Fleet(o ExpOptions) (*FleetResult, error) {
 			return FleetRow{}, err
 		}
 		res, err := f.Run()
-		f.Release()
 		if err != nil {
 			return FleetRow{}, err
 		}

@@ -123,13 +123,6 @@ type ServiceRun struct {
 	Result  chip.RunResult
 }
 
-// Release recycles the run's chip memory into the shared pool. Call it
-// after the last read of Chip state (counters, cache stats, monitor
-// records); the experiment suites do this at the end of every cell so
-// the next cell's chip reuses the buffers instead of zeroing fresh
-// ones. Using Chip after Release panics.
-func (r *ServiceRun) Release() { r.Chip.Release() }
-
 // RunService builds the named service (ftpd, httpd, bind, sendmail,
 // imap, nfs), boots a chip, feeds it the request stream and runs to
 // completion.

@@ -481,14 +481,12 @@ func (c *Chip) Watchdog() *watchdog.Watchdog { return c.wd }
 // setting produces byte-identical simulations.
 func (c *Chip) SetScalarDispatch(v bool) { c.cfg.ScalarDispatch = v }
 
-// Release returns the chip's physical-memory buffers to the shared
-// pool for the next chip to reuse. Call it only when the chip is dead
-// for good — after the final counter read of an experiment cell, or on
-// the pre-restore chip once a snapshot Load has replaced it. The chip
-// must not run or be inspected afterwards; memory accesses panic. A
-// chip that is simply dropped without Release is still recycled by the
-// GC cleanup, just later.
-func (c *Chip) Release() { c.phys.Release() }
+// Release does nothing: chip memory is sparse, and a dropped chip is
+// reclaimed by the garbage collector like any other value.
+//
+// Deprecated: drop the chip instead. Release remains only because the
+// perfbench module still calls it.
+func (c *Chip) Release() {}
 
 // Core returns resurrectee core i (0-based among resurrectees).
 func (c *Chip) Core(i int) *cpu.Core { return c.cores[i] }

@@ -140,9 +140,17 @@ func (d *Disk) Peek(sector uint32) []byte {
 // the platform back door the storage-backed fs uses to persist file
 // mutations (which are already priced by the syscall layer) — and the
 // surface a disk-tamper attack scenario uses to corrupt a binary at
-// rest. data longer than a sector is truncated; shorter is
+// rest. data longer than a sector is truncated; shorter is copied and
 // zero-padded.
+//
+// A full sector is kept as a view of data, not a copy, so the caller
+// must never mutate those bytes afterwards. The disk itself never
+// does: every write replaces a sector's slice.
 func (d *Disk) HostWriteSector(sector uint32, data []byte) {
+	if len(data) >= SectorBytes {
+		d.sectors[sector] = data[:SectorBytes:SectorBytes]
+		return
+	}
 	buf := make([]byte, SectorBytes)
 	copy(buf, data)
 	d.sectors[sector] = buf

@@ -85,10 +85,12 @@ func (n *NIC) DecodeState(r *wire.Reader) {
 }
 
 // DecodeState rebuilds the sector store in place; sector keys must be
-// strictly ascending (canonical form).
+// strictly ascending (canonical form). All sectors are carved from one
+// allocation.
 func (d *Disk) DecodeState(r *wire.Reader) {
 	n := r.Len(4 + SectorBytes)
 	d.sectors = make(map[uint32][]byte, n)
+	store := make([]byte, n*SectorBytes)
 	prev := int64(-1)
 	for i := 0; i < n; i++ {
 		s := r.U32()
@@ -101,7 +103,7 @@ func (d *Disk) DecodeState(r *wire.Reader) {
 			return
 		}
 		prev = int64(s)
-		buf := make([]byte, SectorBytes)
+		buf := store[i*SectorBytes : (i+1)*SectorBytes : (i+1)*SectorBytes]
 		copy(buf, b)
 		d.sectors[s] = buf
 	}

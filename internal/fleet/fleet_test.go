@@ -1,12 +1,15 @@
 package fleet
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"indra/internal/asm"
 	"indra/internal/chip"
-	"indra/internal/mem"
 	"indra/internal/netsim"
+	"indra/internal/watchdog"
 	"indra/internal/workload"
 )
 
@@ -248,10 +251,12 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// A chip replaced by a reboot or a TMR revive goes back to the memory
-// pool at once, and Release recycles every node's chip. Released
-// memory has no page-version array left, so its digest is the one a
-// released Physical reports.
+// A chip replaced by a reboot or a TMR revive is no longer reachable
+// from the fleet, so the collector reclaims it, while the three chips
+// the nodes run on stay live. A chip refers back to itself through the
+// method values it hands its parts, and a finalizer never runs on an
+// object inside a cycle, so each chip is watched through its watchdog:
+// only the chip holds it, and it is collected only once the chip is.
 func TestReplacedChipsReleased(t *testing.T) {
 	params := workload.MustByName("httpd")
 	f, err := New(Config{
@@ -266,41 +271,39 @@ func TestReplacedChipsReleased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gone := mem.NewPhysical(mem.PageBytes)
-	gone.Release()
-	empty := gone.VersionDigest()
-	released := func(ch *chip.Chip) bool { return ch.MemVersionDigest() == empty }
 	if _, err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
 
-	rebooted, revived := f.nodes[0].ch, f.nodes[1].ch
-	if released(rebooted) || released(revived) {
-		t.Fatal("a live node's chip reads as released")
+	var collected [5]atomic.Bool // rebooted, revived, then nodes 0..2
+	watch := func(i int, ch *chip.Chip) {
+		runtime.SetFinalizer(ch.Watchdog(), func(*watchdog.Watchdog) { collected[i].Store(true) })
 	}
+	watch(0, f.nodes[0].ch)
+	watch(1, f.nodes[1].ch)
 	if err := f.RebootNode(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Revive(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if !released(rebooted) {
-		t.Error("RebootNode kept the replaced chip's memory")
+	for i, n := range f.nodes {
+		watch(2+i, n.ch)
 	}
-	if !released(revived) {
-		t.Error("Revive kept the replaced chip's memory")
+	for try := 0; try < 100 && !(collected[0].Load() && collected[1].Load()); try++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
-
-	live := []*chip.Chip{f.nodes[0].ch, f.nodes[1].ch, f.nodes[2].ch}
-	for i, ch := range live {
-		if released(ch) {
-			t.Fatalf("node %d's new chip reads as released before Release", i)
+	if !collected[0].Load() {
+		t.Error("the fleet still reaches the chip RebootNode replaced")
+	}
+	if !collected[1].Load() {
+		t.Error("the fleet still reaches the chip Revive replaced")
+	}
+	for i := range f.nodes {
+		if collected[2+i].Load() {
+			t.Errorf("node %d's live chip was collected", i)
 		}
 	}
-	f.Release()
-	for i, ch := range live {
-		if !released(ch) {
-			t.Errorf("Release kept node %d's chip memory", i)
-		}
-	}
+	runtime.KeepAlive(f)
 }

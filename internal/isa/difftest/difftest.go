@@ -138,7 +138,7 @@ func errText(err error) string {
 // assign it to ExpOptions.RunLoop and replay every golden cell under
 // differential execution. The returned chip is the block-mode chip
 // (its observable outputs feed the cell's figures); the scalar twin
-// exists only to be compared and is recycled on exit.
+// exists only to be compared and is dropped on exit.
 func Loop(cfg Config) func(*chip.Chip, uint64) (*chip.Chip, chip.RunResult, error) {
 	step := cfg.Step
 	if step == 0 {
@@ -153,7 +153,6 @@ func Loop(cfg Config) func(*chip.Chip, uint64) (*chip.Chip, chip.RunResult, erro
 		if err != nil {
 			return ch, chip.RunResult{}, fmt.Errorf("difftest %s: twin boot: %w", cfg.Name, err)
 		}
-		defer twin.Release()
 		twin.SetScalarDispatch(true)
 
 		var total chip.RunResult
@@ -238,7 +237,6 @@ func scalarTrace(start []byte, ran uint64) string {
 	if err != nil {
 		return fmt.Sprintf("scalar trace: reload: %v\n", err)
 	}
-	defer ref.Release()
 	ref.SetScalarDispatch(true)
 	if ran > 0 {
 		if _, err := ref.Run(ran); err != nil && !errors.Is(err, chip.ErrInstrLimit) {

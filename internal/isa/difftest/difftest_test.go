@@ -41,7 +41,7 @@ func bootCell(t *testing.T) *chip.Chip {
 // boundary and the run must complete (halt) cleanly.
 func TestLoopLockstep(t *testing.T) {
 	ch := bootCell(t)
-	final, res, err := Loop(Config{Step: 1_000, Name: "unit-bind"})(ch, 0)
+	_, res, err := Loop(Config{Step: 1_000, Name: "unit-bind"})(ch, 0)
 	if err != nil {
 		t.Fatalf("lockstep run: %v", err)
 	}
@@ -51,21 +51,19 @@ func TestLoopLockstep(t *testing.T) {
 	if res.Instret == 0 {
 		t.Fatal("no instructions executed")
 	}
-	final.Release()
 }
 
 // TestLoopBudgetCap pins the ErrInstrLimit path: both engines must
 // stop at exactly the cap, in agreement.
 func TestLoopBudgetCap(t *testing.T) {
 	ch := bootCell(t)
-	final, res, err := Loop(Config{Step: 700, Name: "unit-cap"})(ch, 5_000)
+	_, res, err := Loop(Config{Step: 700, Name: "unit-cap"})(ch, 5_000)
 	if err == nil || !strings.Contains(err.Error(), "instruction limit") {
 		t.Fatalf("want instruction-limit error, got %v", err)
 	}
 	if res.Instret != 5_000 {
 		t.Fatalf("instret = %d, want 5000", res.Instret)
 	}
-	final.Release()
 }
 
 // TestDumpArtifact exercises the divergence-report writer directly (a
@@ -73,7 +71,6 @@ func TestLoopBudgetCap(t *testing.T) {
 // configured directory with the decoded block and scalar trace.
 func TestDumpArtifact(t *testing.T) {
 	ch := bootCell(t)
-	defer ch.Release()
 	if _, err := ch.Run(2_000); err != nil && !errors.Is(err, chip.ErrInstrLimit) {
 		t.Fatal(err)
 	}

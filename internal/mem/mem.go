@@ -1,13 +1,11 @@
-// Package mem provides the flat physical memory shared by all cores on
-// the simulated chip, plus a simple page-frame allocator that the
-// OS-lite kernels and the resurrector runtime use to carve it up.
+// Package mem provides the physical memory shared by all cores on the
+// simulated chip, plus a simple page-frame allocator that the OS-lite
+// kernels and the resurrector runtime use to carve it up.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
-	"sync"
 )
 
 // PageBytes is the physical page (frame) size.
@@ -19,142 +17,122 @@ const pageShift = 12
 // Physical is byte-addressable physical memory. It is a pure data
 // store; timing lives in the dram package and protection in watchdog.
 //
+// Memory is sparse: a page exists once it is first written, and a page
+// that does not exist reads as zeros. The services touch a few hundred
+// of a default chip's 16,384 pages, so a chip costs what it writes,
+// not its configured size.
+//
 // Every write bumps the containing page's version counter. The version
 // stream is the coherence signal for derived caches over memory
 // contents — most importantly the cores' instruction predecode cache,
 // which must observe self-modifying stores, DMA, loader writes and
 // checkpoint restores alike (they all funnel through these methods).
 type Physical struct {
-	data []byte
-	vers []uint32 // per-page write version; 0 = never written
-	cl   runtime.Cleanup
+	pages []*[PageBytes]byte // nil = all zeros, not yet written
+	vers  []uint32           // per-page write version; 0 = never written
 }
 
-// physPool recycles the large backing buffers across Physical
-// lifetimes. Experiment suites build hundreds of short-lived chips,
-// each with a default 64 MB memory; without reuse, every chip pays a
-// full zeroing pass over freshly grown heap. Reused buffers are
-// re-zeroed only on their written pages (tracked by the version array),
-// which is typically a few MB instead of the full size. Buffers return
-// to the pool via a GC cleanup once the owning Physical is unreachable.
-var physPool = struct {
-	sync.Mutex
-	bufs map[uint32][]physBuf
-}{bufs: make(map[uint32][]physBuf)}
+// zeroPage is what a page that was never written (or was zeroed since)
+// reads as. Read-only.
+var zeroPage [PageBytes]byte
 
-type physBuf struct {
-	data []byte
-	vers []uint32
-}
-
-// physPoolMax bounds retained buffers per size (workers run that many
-// chips concurrently at most in practice; excess is left to the GC).
-const physPoolMax = 16
-
-// NewPhysical allocates size bytes of zeroed physical memory. Size must
-// be a positive multiple of PageBytes.
+// NewPhysical returns size bytes of zeroed physical memory. Size must
+// be a positive multiple of PageBytes. Only the page table and the
+// version array are allocated up front; each page's bytes are
+// allocated by its first store.
 func NewPhysical(size uint32) *Physical {
 	if size == 0 || size%PageBytes != 0 {
 		panic(fmt.Sprintf("mem: size %d must be a positive multiple of %d", size, PageBytes))
 	}
-	p := &Physical{}
-	physPool.Lock()
-	if bufs := physPool.bufs[size]; len(bufs) > 0 {
-		b := bufs[len(bufs)-1]
-		physPool.bufs[size] = bufs[:len(bufs)-1]
-		physPool.Unlock()
-		// Restore the all-zero invariant on exactly the pages the
-		// previous owner dirtied.
-		for i, v := range b.vers {
-			if v != 0 {
-				base := uint32(i) << pageShift
-				clear(b.data[base : base+PageBytes])
-				b.vers[i] = 0
-			}
-		}
-		p.data, p.vers = b.data, b.vers
-	} else {
-		physPool.Unlock()
-		p.data = make([]byte, size)
-		p.vers = make([]uint32, size/PageBytes)
-	}
-	p.cl = runtime.AddCleanup(p, recyclePhys, physBuf{data: p.data, vers: p.vers})
-	return p
-}
-
-// Release returns the backing buffers to the pool immediately instead
-// of waiting for the GC cleanup. The cleanup path alone recycles too
-// late under chip churn — experiment suites and snapshot-restore loops
-// allocate the next chip before the collector has noticed the previous
-// one died, so roughly half the allocations missed the pool and paid a
-// full zeroing pass. The Physical must not be used again after Release;
-// accesses panic on the nil backing slice rather than aliasing memory
-// now owned by another chip.
-func (p *Physical) Release() {
-	if p.data == nil {
-		return
-	}
-	p.cl.Stop()
-	recyclePhys(physBuf{data: p.data, vers: p.vers})
-	p.data, p.vers = nil, nil
-}
-
-// recyclePhys returns an unreachable Physical's buffers to the pool.
-func recyclePhys(b physBuf) {
-	size := uint32(len(b.data))
-	physPool.Lock()
-	if len(physPool.bufs[size]) < physPoolMax {
-		physPool.bufs[size] = append(physPool.bufs[size], b)
-	}
-	physPool.Unlock()
+	n := size / PageBytes
+	return &Physical{pages: make([]*[PageBytes]byte, n), vers: make([]uint32, n)}
 }
 
 // Size returns the memory size in bytes.
-func (p *Physical) Size() uint32 { return uint32(len(p.data)) }
+func (p *Physical) Size() uint32 { return uint32(len(p.vers)) << pageShift }
 
-// Read32 loads a little-endian 32-bit word. The address must be in
-// range and 4-byte aligned; the simulator guarantees alignment by
-// construction and the watchdog guarantees range, so violations here
-// are simulator bugs and panic.
-func (p *Physical) Read32(addr uint32) uint32 {
-	return binary.LittleEndian.Uint32(p.data[addr : addr+4])
+// frame returns page i's bytes for reading: the shared zero page when
+// it does not exist.
+func (p *Physical) frame(i uint32) *[PageBytes]byte {
+	if pg := p.pages[i]; pg != nil {
+		return pg
+	}
+	return &zeroPage
 }
 
-// Write32 stores a little-endian 32-bit word.
+// store returns the page holding addr for writing, allocating it on
+// its first store.
+func (p *Physical) store(addr uint32) *[PageBytes]byte {
+	i := addr >> pageShift
+	pg := p.pages[i]
+	if pg == nil {
+		pg = new([PageBytes]byte)
+		p.pages[i] = pg
+	}
+	return pg
+}
+
+// Read32 loads a little-endian 32-bit word. The address must be in
+// range; the watchdog guarantees range, so a violation here is a
+// simulator bug and panics. An unaligned address (an attack-crafted
+// fetch target) may straddle two pages.
+func (p *Physical) Read32(addr uint32) uint32 {
+	off := addr & (PageBytes - 1)
+	if off > PageBytes-4 {
+		var b [4]byte
+		p.ReadBytes(addr, b[:])
+		return binary.LittleEndian.Uint32(b[:])
+	}
+	return binary.LittleEndian.Uint32(p.frame(addr >> pageShift)[off:])
+}
+
+// Write32 stores a little-endian 32-bit word. The address must be in
+// range and 4-byte aligned, so the word lies in one page; the simulator
+// guarantees alignment by construction, and a word that would straddle
+// pages panics.
 func (p *Physical) Write32(addr uint32, v uint32) {
-	binary.LittleEndian.PutUint32(p.data[addr:addr+4], v)
+	off := addr & (PageBytes - 1)
+	binary.LittleEndian.PutUint32(p.store(addr)[off:off+4], v)
 	p.vers[addr>>pageShift]++
 }
 
 // Read8 loads a byte.
-func (p *Physical) Read8(addr uint32) uint8 { return p.data[addr] }
+func (p *Physical) Read8(addr uint32) uint8 {
+	return p.frame(addr >> pageShift)[addr&(PageBytes-1)]
+}
 
 // Write8 stores a byte.
 func (p *Physical) Write8(addr uint32, v uint8) {
-	p.data[addr] = v
+	p.store(addr)[addr&(PageBytes-1)] = v
 	p.vers[addr>>pageShift]++
 }
 
-// ReadBytes copies len(dst) bytes starting at addr into dst.
+// ReadBytes copies len(dst) bytes starting at addr into dst. The range
+// may cross pages: NIC DMA and disk transfers move contiguous physical
+// ranges.
 func (p *Physical) ReadBytes(addr uint32, dst []byte) {
-	copy(dst, p.data[addr:addr+uint32(len(dst))])
+	for len(dst) > 0 {
+		n := copy(dst, p.frame(addr >> pageShift)[addr&(PageBytes-1):])
+		dst = dst[n:]
+		addr += uint32(n)
+	}
 }
 
-// WriteBytes copies src into memory starting at addr.
+// WriteBytes copies src into memory starting at addr, bumping each
+// touched page's version once.
 func (p *Physical) WriteBytes(addr uint32, src []byte) {
-	if len(src) == 0 {
-		return
-	}
-	copy(p.data[addr:addr+uint32(len(src))], src)
-	for pg, end := addr>>pageShift, (addr+uint32(len(src))-1)>>pageShift; pg <= end; pg++ {
-		p.vers[pg]++
+	for len(src) > 0 {
+		n := copy(p.store(addr)[addr&(PageBytes-1):], src)
+		p.vers[addr>>pageShift]++
+		src = src[n:]
+		addr += uint32(n)
 	}
 }
 
-// ZeroPage clears the frame containing addr.
+// ZeroPage clears the frame containing addr: the page stops existing
+// and reads as zeros again.
 func (p *Physical) ZeroPage(addr uint32) {
-	base := addr &^ (PageBytes - 1)
-	clear(p.data[base : base+PageBytes])
+	p.pages[addr>>pageShift] = nil
 	p.vers[addr>>pageShift]++
 }
 
@@ -184,8 +162,9 @@ func (p *Physical) VersionDigest() uint64 {
 }
 
 // Digest hashes the full architectural memory image — every written
-// page's index, version and contents (version 0 pages are all-zero by
-// invariant, so they are covered by their absence). Order-sensitive
+// page's index, version and contents, zeros for a page zeroed since
+// (version 0 pages are all-zero by invariant, so they are covered by
+// their absence). Order-sensitive
 // FNV-1a; used by the differential harness for exact end-state
 // comparison.
 func (p *Physical) Digest() uint64 {
@@ -196,8 +175,7 @@ func (p *Physical) Digest() uint64 {
 		}
 		h = (h ^ uint64(i)) * fnvPrime
 		h = (h ^ uint64(v)) * fnvPrime
-		base := uint32(i) << pageShift
-		for _, b := range p.data[base : base+PageBytes] {
+		for _, b := range p.frame(uint32(i)) {
 			h = (h ^ uint64(b)) * fnvPrime
 		}
 	}

@@ -4,11 +4,12 @@ import "indra/internal/snapshot/wire"
 
 // EncodeState writes the memory image: only pages that have ever been
 // written (version != 0), with their exact version counters, in
-// ascending page order. The all-zero invariant (version 0 ⇒ page is
+// ascending page order. A page zeroed since its last write is recorded
+// as 4096 zero bytes. The all-zero invariant (version 0 ⇒ page is
 // zero) makes this lossless, and restoring the versions exactly keeps
 // derived caches (instruction predecode) coherent across a restore.
 func (p *Physical) EncodeState(w *wire.Writer) {
-	w.U32(uint32(len(p.data)))
+	w.U32(p.Size())
 	n := 0
 	for _, v := range p.vers {
 		if v != 0 {
@@ -22,13 +23,12 @@ func (p *Physical) EncodeState(w *wire.Writer) {
 		}
 		w.U32(uint32(i))
 		w.U32(v)
-		base := uint32(i) << pageShift
-		w.Raw(p.data[base : base+PageBytes])
+		w.Raw(p.frame(uint32(i))[:])
 	}
 }
 
 // DecodeState restores the memory image in place: every page not in
-// the snapshot returns to zero with version 0, every page in it gets
+// the snapshot stops existing (zero, version 0), every page in it gets
 // the recorded bytes and version verbatim (no version bump — the
 // restored state must be bit-exact, not "newer").
 func (p *Physical) DecodeState(r *wire.Reader) {
@@ -36,17 +36,12 @@ func (p *Physical) DecodeState(r *wire.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	if size != uint32(len(p.data)) {
-		r.Failf("mem: snapshot memory size %d, have %d", size, len(p.data))
+	if size != p.Size() {
+		r.Failf("mem: snapshot memory size %d, have %d", size, p.Size())
 		return
 	}
-	for i, v := range p.vers {
-		if v != 0 {
-			base := uint32(i) << pageShift
-			clear(p.data[base : base+PageBytes])
-			p.vers[i] = 0
-		}
-	}
+	clear(p.pages)
+	clear(p.vers)
 	n := r.Len(4 + 4 + PageBytes)
 	prev := -1
 	for j := 0; j < n; j++ {
@@ -65,8 +60,9 @@ func (p *Physical) DecodeState(r *wire.Reader) {
 			return
 		}
 		prev = int(pg)
-		base := pg << pageShift
-		copy(p.data[base:base+PageBytes], b)
+		page := new([PageBytes]byte)
+		copy(page[:], b)
+		p.pages[pg] = page
 		p.vers[pg] = v
 	}
 }

@@ -16,6 +16,11 @@ type File struct {
 // BlockStore is the storage a backed FS persists file contents on.
 // device.Disk implements it: HostWriteSector/Peek are the host-side
 // (zero-cycle) sector access the platform uses below the DMA engine.
+//
+// HostWriteSector may keep a full sector as a view of the bytes it is
+// given, not a copy. So no file writer mutates bytes in place: a write
+// replaces File.Data with a fresh slice, and an append lands past the
+// bytes already flushed.
 type BlockStore interface {
 	HostWriteSector(sector uint32, data []byte)
 	Peek(sector uint32) []byte

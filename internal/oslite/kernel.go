@@ -143,9 +143,12 @@ func (k *Kernel) FS() *FS { return k.fs }
 
 // WriteFile installs a file kernel-side (platform/boot path: service
 // binaries land in the fs before the service starts). On a backed FS
-// the contents write through to sectors.
+// the contents write through to sectors. The file holds data itself,
+// capped at its length, not a copy: the caller must not mutate data
+// afterwards, and no file writer mutates bytes in place (see
+// BlockStore), so a memoized program image can be shared.
 func (k *Kernel) WriteFile(name string, data []byte) {
-	k.fs.Put(name, append([]byte(nil), data...))
+	k.fs.Put(name, data[:len(data):len(data)])
 }
 
 // ReadFile returns a copy of a file's current contents, re-reading the
@@ -480,8 +483,9 @@ func (k *Kernel) Syscall(p *Process, cpu CPU, num int) (uint64, error) {
 			return cycles, err
 		}
 		// File writes are never rolled back (Section 3.3.3); they were
-		// verified by the SyncPoint above.
-		d.File.Data = append(d.File.Data[:d.Offset], buf...)
+		// verified by the SyncPoint above. The capped prefix makes
+		// append copy, so bytes the block store holds never change.
+		d.File.Data = append(d.File.Data[:d.Offset:d.Offset], buf...)
 		d.Offset += len(buf)
 		k.fs.Flush(d.File.Name)
 		cpu.SetReg(1, uint32(len(buf)))

@@ -1,6 +1,7 @@
 package oslite
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -556,6 +557,68 @@ func TestSyscallDisk(t *testing.T) {
 	cpu.SetReg(3, 99) // too many sectors
 	if _, err := k.Syscall(p, cpu, SysDiskWr); err == nil {
 		t.Fatal("oversized transfer accepted")
+	}
+}
+
+// The disk keeps full sectors as views of a file's bytes, so a write
+// into the middle of a backed file must copy: the bytes first passed
+// to WriteFile (a memoized program image, shared across chips) and the
+// sectors flushed before the write keep their contents.
+func TestBackedFileWriteLeavesSharedBytes(t *testing.T) {
+	k := testKernel(t, nil, nil)
+	disk := device.NewDisk(k.phys, watchdog.New(watchdog.Config{}), nil)
+	k.FS().Back(disk, 16)
+	p := spawnTest(t, k, false)
+	text := make([]byte, 3*SectorBytes)
+	for i := range text {
+		text[i] = byte(i)
+	}
+	want := bytes.Clone(text)
+	k.WriteFile("bin/t", text)
+	ext, _ := k.FS().Extent("bin/t")
+	var flushed [][]byte
+	for i := uint32(0); i < ext.Count; i++ {
+		flushed = append(flushed, disk.Peek(ext.Start+i))
+	}
+
+	// A descriptor on the file as WriteFile left it, moved to byte 700
+	// by a read, then a 100-byte write.
+	f, _ := k.FS().Lookup("bin/t")
+	d := p.fds.insert(f, false)
+	cpu := &fakeCPU{}
+	bufVA := p.Prog.DataBase
+	cpu.SetReg(1, uint32(d.FD))
+	cpu.SetReg(2, bufVA)
+	cpu.SetReg(3, 700)
+	if _, err := k.Syscall(p, cpu, SysRead); err != nil {
+		t.Fatal(err)
+	}
+	patch := bytes.Repeat([]byte{0xEE}, 100)
+	p.AS.WriteBytes(bufVA, patch)
+	cpu.SetReg(1, uint32(d.FD))
+	cpu.SetReg(2, bufVA)
+	cpu.SetReg(3, uint32(len(patch)))
+	if _, err := k.Syscall(p, cpu, SysWrite); err != nil {
+		t.Fatal(err)
+	}
+
+	if !bytes.Equal(text, want) {
+		t.Fatal("the write changed the bytes passed to WriteFile")
+	}
+	if got := append(want[:700:700], patch...); !bytes.Equal(f.Data, got) {
+		t.Fatalf("file holds %d bytes, want the first 700 then the patch", len(f.Data))
+	}
+	// Sector 0 is flushed again with the same bytes, sector 1 with the
+	// patch, and sector 2 lies past the new end and is not rewritten.
+	for _, i := range []uint32{0, 2} {
+		if !bytes.Equal(disk.Peek(ext.Start+i), flushed[i]) {
+			t.Errorf("sector %d changed", i)
+		}
+	}
+	sec1 := make([]byte, SectorBytes)
+	copy(sec1, f.Data[SectorBytes:])
+	if !bytes.Equal(disk.Peek(ext.Start+1), sec1) {
+		t.Error("sector 1 does not hold the patched bytes")
 	}
 }
 

@@ -63,8 +63,5 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err == nil && c == nil {
 			t.Fatal("Load returned neither chip nor error")
 		}
-		if c != nil {
-			c.Release()
-		}
 	})
 }

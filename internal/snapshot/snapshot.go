@@ -71,7 +71,6 @@ func Load(data []byte) (*chip.Chip, error) {
 		return nil, fmt.Errorf("snapshot: rebuilding chip: %w", err)
 	}
 	if err := c.Restore(payload); err != nil {
-		c.Release()
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	return c, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -259,11 +260,6 @@ func TestLoadSurvivesBitFlips(t *testing.T) {
 		if err == nil && c == nil {
 			t.Fatalf("iteration %d: Load returned neither chip nor error", i)
 		}
-		if c != nil {
-			// Recycle the 64 MB memory now: left to the GC cleanup, 500
-			// dropped chips outpace collection and the heap runs away.
-			c.Release()
-		}
 	}
 }
 
@@ -276,4 +272,43 @@ func TestLoadRejectsTrailingBytes(t *testing.T) {
 	if _, err := Load(blob); err == nil {
 		t.Fatal("Load accepted trailing bytes")
 	}
+}
+
+// A 140 KB snapshot whose header claims the decoder's ceiling of 1 GiB
+// of memory, over the payload of a default 64 MB chip, must fail
+// without paying for the claim: memory is sparse, so the rebuilt chip
+// allocates only its page table before the payload is refused.
+func TestLoadHostileMemorySize(t *testing.T) {
+	ch, err := chip.New(chip.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ch.Config()
+	blob := Save(ch)
+	head := len(magic) + 4 // magic, version
+	orig := ConfigBytes(cfg)
+	if !bytes.Equal(blob[head:head+len(orig)], orig) {
+		t.Fatal("the config does not follow the magic and version")
+	}
+	cfg.PhysMemBytes = 1 << 30
+	hostile := append(append(bytes.Clone(blob[:head]), ConfigBytes(cfg)...), blob[head+len(orig):]...)
+
+	const limit = 16 << 20
+	var before, loaded, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := Load(hostile)
+	runtime.ReadMemStats(&loaded)
+	if err == nil || c != nil {
+		t.Fatal("Load accepted a header that disagrees with its memory image")
+	}
+	if n := loaded.TotalAlloc - before.TotalAlloc; n >= limit {
+		t.Errorf("the failed Load of a %d-byte blob allocated %d bytes", len(hostile), n)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := int64(after.HeapAlloc) - int64(before.HeapAlloc); n >= limit {
+		t.Errorf("the failed Load left %d bytes of live heap", n)
+	}
+	runtime.KeepAlive(hostile)
 }

@@ -56,10 +56,9 @@ func FullEvaluation(o ExpOptions) error {
 // predecode, trace FIFO, cache model, monitor).
 func PerfSuite() []perf.Bench {
 	return []perf.Bench{
-		// End-to-end wall time wobbles with GC pacing and physical-
-		// memory pool reuse, so the cell carries a slightly widened ns
-		// tolerance; the stable microbenchmarks below are the sharp
-		// per-structure gates.
+		// End-to-end wall time wobbles with GC pacing, so the cell
+		// carries a slightly widened ns tolerance; the stable
+		// microbenchmarks below are the sharp per-structure gates.
 		{Name: "full-suite", Iters: 2, NsTol: 0.20, Fn: func() (uint64, error) {
 			o := ExpOptions{Requests: 2, Scale: 1.0, Seed: 1, Workers: 0}
 			return 0, FullEvaluation(o)
@@ -67,8 +66,8 @@ func PerfSuite() []perf.Bench {
 		// Observed variant: the same suite with metrics armed on every
 		// cell, gating the cost of the observability layer itself. The
 		// merged cycle counter feeds the sim-throughput column. Wall
-		// time here is dominated by GC pacing over snapshot and pooled-
-		// buffer allocations and swings ±40% run to run, so the gate
+		// time here is dominated by GC pacing over snapshot and page
+		// allocations and swings ±40% run to run, so the gate
 		// only bounds catastrophe (a ~2x observation-cost regression);
 		// the allocation count stays sharply gated.
 		{Name: "full-suite-observed", Iters: 2, NsTol: 0.75, Fn: func() (uint64, error) {
@@ -84,7 +83,6 @@ func PerfSuite() []perf.Bench {
 			if err != nil {
 				return 0, err
 			}
-			run.Release()
 			return run.Result.Cycles, nil
 		}},
 		// The ablation-resurrectors platform: two resurrectee cores

@@ -124,7 +124,6 @@ func segmentedRunLoop(points []uint64, tr *segTracker) RunLoopFunc {
 			if err != nil {
 				return ch, total, err
 			}
-			ch.Release() // the pre-snapshot chip is dead; recycle its memory
 			ch = restored
 			segs++
 		}
