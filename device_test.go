@@ -144,7 +144,7 @@ func basicRequests(n int) []netsim.Request {
 }
 
 // runNICDMAOverText drives one engine through the scenario: warm the
-// block cache on the common-path handler, DMA a behavior-changing
+// decoded pages of the common-path handler, DMA a behavior-changing
 // instruction over the handler's (already predecoded) entry, and run a
 // fixed further budget. Returns the final chip and accumulated result.
 func runNICDMAOverText(t *testing.T, scalar bool) (*chip.Chip, chip.RunResult) {
@@ -165,9 +165,9 @@ func runNICDMAOverText(t *testing.T, scalar bool) (*chip.Chip, chip.RunResult) {
 		t.Fatal(err)
 	}
 
-	// Warm until the handler has served twice — its basic blocks are
-	// then resident in the block cache. Chunked runs keep the stop
-	// boundary instret-exact and identical for both engines.
+	// Warm until the handler has served twice — its code is then
+	// decoded and classified on the predecode pages. Chunked runs keep
+	// the stop boundary instret-exact and identical for both engines.
 	var total chip.RunResult
 	served := func() int {
 		n := 0

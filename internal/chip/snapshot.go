@@ -24,27 +24,9 @@ func (c *Chip) Config() Config { return c.cfg }
 // through this accessor rather than the pre-snapshot pointer.
 func (c *Chip) ActivePort(idx int) *netsim.Port { return c.slots[idx].activePort() }
 
-// Snapshot serializes the chip's full mutable state — memory, kernel,
-// cores, caches, TLBs, FIFOs, monitor, recovery, checkpoint schemes,
-// devices, protection and run-loop continuation state — into the wire
-// format. The configuration is NOT included; pair the payload with the
-// chip's Config (internal/snapshot's envelope does) and Restore into a
-// freshly built chip of the same configuration.
-//
-// Deliberately excluded derived state: the predecode caches (coherent
-// through mem page write-versions, which are restored exactly), the
-// one-entry monitor/translate caches (reset on decode), the boot
-// report (a pure function of the configuration) and all observability
-// wiring (sinks are process-local, not chip state).
-func (c *Chip) Snapshot() []byte {
-	var w wire.Writer
-	c.EncodeState(&w)
-	return w.Bytes()
-}
-
 // Restore replaces the chip's mutable state with a payload produced by
-// Snapshot on an identically-configured chip. On error the chip may be
-// partially overwritten and must be discarded.
+// EncodeState on an identically-configured chip. On error the chip may
+// be partially overwritten and must be discarded.
 func (c *Chip) Restore(data []byte) error {
 	r := wire.NewReader(data)
 	c.DecodeState(r)
@@ -70,7 +52,18 @@ func decodeContext(r *wire.Reader) oslite.Context {
 	return ctx
 }
 
-// EncodeState writes the chip payload.
+// EncodeState writes the chip payload: the chip's full mutable state —
+// memory, kernel, cores, caches, TLBs, FIFOs, monitor, recovery,
+// checkpoint schemes, devices, protection and run-loop continuation
+// state. The configuration is NOT included; pair the payload with the
+// chip's Config (internal/snapshot's envelope does) and Restore into a
+// freshly built chip of the same configuration.
+//
+// Deliberately excluded derived state: the predecode caches (coherent
+// through mem page write-versions, which are restored exactly), the
+// one-entry monitor/translate caches (reset on decode), the boot
+// report (a pure function of the configuration) and all observability
+// wiring (sinks are process-local, not chip state).
 func (c *Chip) EncodeState(w *wire.Writer) {
 	c.phys.EncodeState(w)
 	c.kern.EncodeState(w)

@@ -9,17 +9,19 @@ import (
 	"indra/internal/watchdog"
 )
 
-// Basic-block threaded execution, built on the predecode cache.
+// Block execution, run straight off the predecode cache.
 //
-// The block executor groups predecoded instructions into straight-line
-// blocks ending at control transfers, syscalls, halts and page
-// boundaries, and runs a whole block per dispatch instead of paying the
-// fetch-translate-lookup sequence per instruction. It is a simulator
-// speed structure with one invariant: every observable effect — cycle
-// charges, cache/TLB/predictor state, trace records, counters, faults —
-// lands on exactly the instruction it would under per-step execution.
-// The differential harness (internal/isa/difftest) and FuzzBlockBuilder
-// pin that invariant.
+// The block executor walks a visit's instructions in place on the
+// predecoder's decoded pages instead of paying the fetch-translate-
+// lookup sequence per instruction. Each word's page tag records, next
+// to its decoding, whether a superinstruction starts there; the walk
+// dispatches single instructions and fused pairs slot by slot and
+// follows control transfers within the page without any lookup. It is
+// a simulator speed structure with one invariant: every observable
+// effect — cycle charges, cache/TLB/predictor state, trace records,
+// counters, faults — lands on exactly the instruction it would under
+// per-step execution. The differential harness (internal/isa/difftest)
+// and FuzzBlockBuilder pin that invariant.
 //
 // What the executor elides, and why each elision is safe within a
 // visit (one RunBlocks call):
@@ -30,116 +32,22 @@ import (
 //   - wd.Check per fetch → one ranged check per page entry. Watchdog
 //     partitions are reprogrammed only at boot; a page the ranged check
 //     cannot fully clear falls back to exact per-instruction stepping.
-//   - predecode map lookup per instruction → once per block.
+//   - predecode map lookup and version check per instruction → once
+//     per page entry, plus a version re-check after each data access.
 //
 // What it must never elide: the per-instruction ITLB access and IL1
 // fetch (their hit counters and cycle charges are architecturally
 // visible), the code-origin tap, branch-predictor updates, and the
 // checkpoint hooks on the data path.
 //
-// Coherence follows the predecoder's rule: a block records the write
-// version of its code page at build time and is rebuilt when the
-// version moved (self-modifying stores, DMA-style device writes, loader
-// reuse, rollback restores). A store executed *inside* a block
-// re-checks the block's own page version immediately, so an attack
-// payload that overwrites instructions ahead of the PC never executes
-// stale decodes.
-
-// blockOp is one executor dispatch slot: a single predecoded
-// instruction, or a fused superinstruction pair.
-type blockOp struct {
-	pred  isa.Predecoded
-	fuse  isa.FuseKind
-	pred2 isa.Predecoded // second half of a fused pair
-	fold  uint32         // FuseLuiAddi: (hi<<12)+lo, folded at build time
-	store bool           // pred writes memory: re-check the code page version
-}
-
-// basicBlock is a decoded straight-line run of instructions within one
-// physical code page.
-type basicBlock struct {
-	pa      uint32 // physical address of the entry instruction (aligned)
-	version uint32 // code-page write version the block was decoded under
-	ninstr  uint64 // architectural instructions when run to completion
-	ops     []blockOp
-	// succVA/succ memoize the two same-visit successor blocks (the
-	// taken and not-taken edges of the terminator) by entry VA, so a
-	// hot loop chains block to block without map lookups. Guarded at
-	// use by entry PA and page-version checks, so stale pointers are
-	// never executed.
-	succVA [2]uint32
-	succ   [2]*basicBlock
-}
-
-// maxBlockOps caps how many dispatch slots one block may hold. Long
-// straight-line code (the workloads' filler functions run hundreds of
-// instructions without a branch) would otherwise decode page-length
-// blocks, and since drain boundaries re-enter mid-block at fresh entry
-// addresses, every re-entry would re-walk a long overlapping tail. The
-// cap bounds that to linear work; a block ending mid-run simply falls
-// through to its successor via the same memoized edge a branch uses.
-const maxBlockOps = 64
-
-// buildBlock decodes the block entered at physical address pa. Decoding
-// goes through the predecode cache, so block formation inherits its
-// per-page version discipline (and warms it for any scalar fallback).
-func (c *Core) buildBlock(pa uint32) *basicBlock {
-	blk := &basicBlock{pa: pa, version: c.phys.PageVersion(pa)}
-	end := (pa &^ uint32(pageMask)) + oslite.PageBytes
-	ops := c.bscratch[:0]
-	for addr := pa; addr < end; {
-		in := *c.dec.entry(c.phys, addr)
-		op := blockOp{pred: in, fuse: isa.FuseNone, store: in.Op.IsStore()}
-		term := isa.EndsBlock(&in)
-		if !term && addr+isa.InstBytes < end {
-			next := *c.dec.entry(c.phys, addr+isa.InstBytes)
-			if k := isa.Fuse(&in, &next); k != isa.FuseNone {
-				op.fuse, op.pred2 = k, next
-				if k == isa.FuseLuiAddi {
-					op.fold = (in.ImmU << 12) + next.ImmU
-				}
-				blk.ninstr++
-				addr += isa.InstBytes
-				term = k == isa.FuseCmpBranch
-			}
-		}
-		ops = append(ops, op)
-		blk.ninstr++
-		addr += isa.InstBytes
-		if term || len(ops) >= maxBlockOps {
-			break
-		}
-	}
-	// Stage in the reusable scratch slice, then copy out at exact size:
-	// block building is a pure cold-start cost (hot paths hit the cache),
-	// and append-growing a fresh slice per block dominated it.
-	c.bscratch = ops
-	blk.ops = make([]blockOp, len(ops))
-	copy(blk.ops, ops)
-	return blk
-}
-
-// blockAt returns the block entered at pa, rebuilding it when the code
-// page's write version moved since it was decoded.
-func (c *Core) blockAt(pa uint32) *basicBlock {
-	blk := c.blocks[pa]
-	if blk == nil || blk.version != c.phys.PageVersion(pa) {
-		blk = c.buildBlock(pa)
-		c.blocks[pa] = blk
-	}
-	return blk
-}
-
-// FlushDerived drops every derived decode structure (the predecode
-// cache and the basic-block cache). Restoring serialized state calls
-// it: both caches are deliberately excluded from snapshots — they are
-// provably rebuildable from physical memory — but a chip that executed
-// a different history holds entries whose page versions could collide
-// with the restored ones.
-func (c *Core) FlushDerived() {
-	c.dec = newPredecoder()
-	c.blocks = make(map[uint32]*basicBlock)
-}
+// Coherence follows the predecoder's rule: a page's decodings and tags
+// hold for one write version of the page and are flushed when it moves
+// (self-modifying stores, DMA-style device writes, loader reuse,
+// rollback restores). Within a visit only the core's own data accesses
+// can write memory — a store, or a load whose checkpoint hook lazily
+// restores a rolled-back line — so the walk re-checks the code page's
+// version after every load and store, and an attack payload that
+// overwrites instructions ahead of the PC never executes stale decodes.
 
 // pendingAfterEmit polls the environment after an instruction whose
 // fetch or execution pushed a trace record: verification may have
@@ -149,12 +57,21 @@ func (c *Core) pendingAfterEmit() bool {
 	return c.env.PendingViolation()
 }
 
+// FlushDerived drops the predecode cache. Restoring serialized state
+// calls it: decoded pages are deliberately excluded from snapshots —
+// they are provably rebuildable from physical memory — but a chip that
+// executed a different history holds pages whose versions could
+// collide with the restored ones.
+func (c *Core) FlushDerived() {
+	c.dec = newPredecoder()
+}
+
 // RunBlocks executes up to budget instruction attempts through the
-// block cache and returns how many were consumed (retired instructions
-// plus a final faulting attempt, mirroring the chip run loop's
-// accounting). It may stop early at any instruction boundary — the
-// caller re-evaluates and calls again — but it never runs past budget,
-// a fault, a HALT, a syscall, or an emitted trace record whose
+// block executor and returns how many were consumed (retired
+// instructions plus a final faulting attempt, mirroring the chip run
+// loop's accounting). It may stop early at any instruction boundary —
+// the caller re-evaluates and calls again — but it never runs past
+// budget, a fault, a HALT, a syscall, or an emitted trace record whose
 // verification flagged a violation.
 func (c *Core) RunBlocks(budget uint64) (uint64, error) {
 	var n uint64
@@ -163,8 +80,8 @@ func (c *Core) RunBlocks(budget uint64) (uint64, error) {
 		pageVA uint32 = 1 // not page-aligned: forces the first translate
 		pagePA uint32
 		vpn    uint32
+		pg     *decPage
 	)
-	var prev *basicBlock
 	for n < budget && !c.halted {
 		pc := c.pc
 		if pc&3 != 0 {
@@ -187,180 +104,150 @@ func (c *Core) RunBlocks(budget uint64) (uint64, error) {
 				return n + 1, c.Step()
 			}
 			pageVA, pagePA, vpn = pc&^uint32(pageMask), base, pc/oslite.PageBytes
-			prev = nil // successor memos never span a translate
+			pg = c.dec.page(c.phys, base)
 		}
+		i := (pc & uint32(pageMask)) / isa.InstBytes
 		pa := pagePA + (pc & uint32(pageMask))
-
-		// Block lookup: successor memo first, map second; both validate
-		// entry PA and page version before anything executes.
-		var blk *basicBlock
-		if prev != nil {
-			if b := prev.succ[0]; b != nil && prev.succVA[0] == pc {
-				blk = b
-			} else if b := prev.succ[1]; b != nil && prev.succVA[1] == pc {
-				blk = b
+		k := pg.kind(c.phys, pagePA, i)
+		a := &pg.insts[i]
+		c.stats.Cycles += c.itlb.Access(vpn)
+		c.fetchAt(pc, pa)
+		switch k {
+		case isa.FuseNone:
+			n++
+			if err := c.execOne(a); err != nil {
+				return n, err
 			}
-		}
-		if blk != nil && (blk.pa != pa || blk.version != c.phys.PageVersion(pa)) {
-			blk = nil
-		}
-		if blk == nil {
-			blk = c.blockAt(pa)
-			if prev != nil {
-				slot := 0
-				if prev.succ[0] != nil && prev.succVA[0] != pc {
-					slot = 1
-				}
-				prev.succVA[slot], prev.succ[slot] = pc, blk
-			}
-		}
-
-		stale := false
-		for i := range blk.ops {
-			if n >= budget || c.halted {
+			if c.emitted && c.pendingAfterEmit() {
 				return n, nil
 			}
-			op := &blk.ops[i]
-			cpc := c.pc
-			cpa := pagePA + (cpc & uint32(pageMask))
+			if a.Op == isa.OpSys {
+				// The kernel may have switched processes, rewound the
+				// PC or armed a request budget: yield.
+				return n, nil
+			}
+			if (a.Op.IsLoad() || a.Op.IsStore()) && pg.version != c.phys.PageVersion(pagePA) {
+				// A store into this very code page, or a load whose
+				// checkpoint hook restored one of its lines: everything
+				// decoded on it is stale. Take the page again.
+				pg = c.dec.page(c.phys, pagePA)
+			}
+
+		case isa.FuseLuiAddi:
+			if c.emitted && c.pendingAfterEmit() {
+				// The first fetch's origin record flagged a violation:
+				// per-step execution runs exactly the first half and
+				// stops before fetching the second.
+				n++
+				return n, c.execOne(a)
+			}
+			if n+2 > budget {
+				// Budget allows one more instruction: the pair's second
+				// half is dispatched on its own next call.
+				n++
+				return n, c.execOne(a)
+			}
 			c.stats.Cycles += c.itlb.Access(vpn)
-			c.fetchAt(cpc, cpa)
-			switch op.fuse {
-			case isa.FuseNone:
-				n++
-				if err := c.execOne(&op.pred); err != nil {
-					return n, err
-				}
-				if c.emitted && c.pendingAfterEmit() {
-					return n, nil
-				}
-				if op.pred.Op == isa.OpSys {
-					// The kernel may have switched processes, rewound
-					// the PC or armed a request budget: yield.
-					return n, nil
-				}
-				if op.store && c.phys.PageVersion(blk.pa) != blk.version {
-					// Self-modifying store into this very code page:
-					// everything decoded past this instruction is
-					// stale. Re-enter at the (already advanced) PC.
-					stale = true
-				}
-
-			case isa.FuseLuiAddi:
-				if c.emitted && c.pendingAfterEmit() {
-					// The first fetch's origin record flagged a
-					// violation: per-step execution runs exactly the
-					// first half and stops before fetching the second.
-					n++
-					return n, c.execOne(&op.pred)
-				}
-				if n+2 > budget {
-					// Budget allows one more instruction: the pair's
-					// second half re-enters as its own block next call.
-					n++
-					return n, c.execOne(&op.pred)
-				}
-				c.stats.Cycles += c.itlb.Access(vpn)
-				c.fetchAt(cpc+4, cpa+4)
-				// Both halves are pure ALU: committing them together
-				// after the second fetch is step-for-step identical.
-				c.stats.Instret += 2
-				c.stats.Cycles += 2
-				c.SetReg(int(op.pred.Rd), op.fold)
-				c.pc = cpc + 8
-				n += 2
-				if c.emitted && c.pendingAfterEmit() {
-					return n, nil
-				}
-
-			case isa.FuseCmpBranch:
-				if c.emitted && c.pendingAfterEmit() {
-					n++
-					return n, c.execOne(&op.pred)
-				}
-				if n+2 > budget {
-					n++
-					return n, c.execOne(&op.pred)
-				}
-				c.stats.Cycles += c.itlb.Access(vpn)
-				c.fetchAt(cpc+4, cpa+4)
-				a, b := &op.pred, &op.pred2
-				rs1, rs2 := c.regs[a.Rs1], c.regs[a.Rs2]
-				var cond uint32
-				if a.Op == isa.OpSlt {
-					cond = boolTo(int32(rs1) < int32(rs2))
-				} else {
-					cond = boolTo(rs1 < rs2)
-				}
-				c.stats.Instret += 2
-				c.stats.Cycles += 2
-				c.SetReg(int(a.Rd), cond)
-				var bv1, bv2 uint32
-				if b.Rs1 == a.Rd {
-					bv1 = cond
-				}
-				if b.Rs2 == a.Rd {
-					bv2 = cond
-				}
-				taken := bv1 == bv2
-				if b.Op == isa.OpBne {
-					taken = !taken
-				}
-				c.stats.Branches++
-				if !c.bpred.Update(cpc+4, taken) {
-					c.stats.Mispredicts++
-					c.stats.Cycles += c.mispredict
-				}
-				if taken {
-					c.pc = cpc + 4 + b.ImmU
-				} else {
-					c.pc = cpc + 8
-				}
-				n += 2
-				if c.emitted && c.pendingAfterEmit() {
-					return n, nil
-				}
-
-			case isa.FuseLoadOp:
-				// Dispatch-level fusion only: both halves run their
-				// exact scalar step (the load keeps its fault path and
-				// checkpoint hooks), back to back in one slot.
-				n++
-				if err := c.execOne(&op.pred); err != nil {
-					return n, err
-				}
-				if c.emitted && c.pendingAfterEmit() {
-					return n, nil
-				}
-				if n >= budget {
-					return n, nil
-				}
-				c.stats.Cycles += c.itlb.Access(vpn)
-				c.fetchAt(cpc+4, cpa+4)
-				n++
-				if err := c.execOne(&op.pred2); err != nil {
-					return n, err
-				}
-				if c.emitted && c.pendingAfterEmit() {
-					return n, nil
-				}
+			c.fetchAt(pc+4, pa+4)
+			// Both halves are pure ALU: committing them together after
+			// the second fetch is step-for-step identical.
+			c.stats.Instret += 2
+			c.stats.Cycles += 2
+			c.SetReg(int(a.Rd), (uint32(a.Imm)<<12)+uint32(pg.insts[i+1].Imm))
+			c.pc = pc + 8
+			n += 2
+			if c.emitted && c.pendingAfterEmit() {
+				return n, nil
 			}
-			if stale {
-				break
+
+		case isa.FuseCmpBranch:
+			if c.emitted && c.pendingAfterEmit() {
+				n++
+				return n, c.execOne(a)
+			}
+			if n+2 > budget {
+				n++
+				return n, c.execOne(a)
+			}
+			c.stats.Cycles += c.itlb.Access(vpn)
+			c.fetchAt(pc+4, pa+4)
+			b := &pg.insts[i+1]
+			rs1, rs2 := c.regs[a.Rs1], c.regs[a.Rs2]
+			var cond uint32
+			if a.Op == isa.OpSlt {
+				cond = boolTo(int32(rs1) < int32(rs2))
+			} else {
+				cond = boolTo(rs1 < rs2)
+			}
+			c.stats.Instret += 2
+			c.stats.Cycles += 2
+			c.SetReg(int(a.Rd), cond)
+			var bv1, bv2 uint32
+			if b.Rs1 == a.Rd {
+				bv1 = cond
+			}
+			if b.Rs2 == a.Rd {
+				bv2 = cond
+			}
+			taken := bv1 == bv2
+			if b.Op == isa.OpBne {
+				taken = !taken
+			}
+			c.stats.Branches++
+			if !c.bpred.Update(pc+4, taken) {
+				c.stats.Mispredicts++
+				c.stats.Cycles += c.mispredict
+			}
+			if taken {
+				c.pc = pc + 4 + uint32(b.Imm)
+			} else {
+				c.pc = pc + 8
+			}
+			n += 2
+			if c.emitted && c.pendingAfterEmit() {
+				return n, nil
+			}
+
+		case isa.FuseLoadOp:
+			// Dispatch-level fusion only: both halves run their exact
+			// scalar step (the load keeps its fault path and checkpoint
+			// hooks), back to back in one slot.
+			n++
+			if err := c.execOne(a); err != nil {
+				return n, err
+			}
+			if c.emitted && c.pendingAfterEmit() {
+				return n, nil
+			}
+			if pg.version != c.phys.PageVersion(pagePA) {
+				// The load restored a line of this code page: the second
+				// half's decoding may be stale, so it is dispatched
+				// afresh from the re-taken page.
+				pg = c.dec.page(c.phys, pagePA)
+				continue
+			}
+			if n >= budget {
+				return n, nil
+			}
+			c.stats.Cycles += c.itlb.Access(vpn)
+			c.fetchAt(pc+4, pa+4)
+			n++
+			if err := c.execOne(&pg.insts[i+1]); err != nil {
+				return n, err
+			}
+			if c.emitted && c.pendingAfterEmit() {
+				return n, nil
 			}
 		}
-		if stale {
-			prev = nil
-			continue
-		}
-		prev = blk
 	}
 	return n, nil
 }
 
-// DebugBlock formats the decoded block that would execute at virtual
-// address pc — entry addresses, fused pairs, and the page version it
-// was built under — for differential-harness divergence artifacts.
+// DebugBlock formats the straight-line run the block executor would
+// dispatch from virtual address pc — its dispatch slots, fused pairs,
+// and the page version they were decoded under — up to a terminator, a
+// fused compare-and-branch or the page end, for differential-harness
+// divergence artifacts.
 func (c *Core) DebugBlock(pc uint32) string {
 	if c.as == nil {
 		return "no address space"
@@ -372,22 +259,32 @@ func (c *Core) DebugBlock(pc uint32) string {
 	if err != nil {
 		return fmt.Sprintf("pc %08x: translate: %v", pc, err)
 	}
-	blk := c.blockAt(pa)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "block entry va=%08x pa=%08x version=%d ninstr=%d\n",
-		pc, blk.pa, blk.version, blk.ninstr)
+	base := pa &^ uint32(pageMask)
+	pg := c.dec.page(c.phys, base)
+	var body strings.Builder
+	var ninstr int
 	va := pc
-	for i := range blk.ops {
-		op := &blk.ops[i]
-		fmt.Fprintf(&sb, "  %08x  %s", va, opString(&op.pred))
+	for i := (pa - base) / isa.InstBytes; i < pageWords; i++ {
+		k := pg.kind(c.phys, base, i)
+		in := &pg.insts[i]
+		fmt.Fprintf(&body, "  %08x  %s", va, opString(in))
 		va += isa.InstBytes
-		if op.fuse != isa.FuseNone {
-			fmt.Fprintf(&sb, "  [fused %s with]  %08x  %s", op.fuse, va, opString(&op.pred2))
+		ninstr++
+		end := isa.EndsBlock(in)
+		if k != isa.FuseNone {
+			i++
+			fmt.Fprintf(&body, "  [fused %s with]  %08x  %s", k, va, opString(&pg.insts[i]))
 			va += isa.InstBytes
+			ninstr++
+			end = k == isa.FuseCmpBranch
 		}
-		sb.WriteByte('\n')
+		body.WriteByte('\n')
+		if end {
+			break
+		}
 	}
-	return sb.String()
+	return fmt.Sprintf("block entry va=%08x pa=%08x version=%d ninstr=%d\n%s",
+		pc, pa, pg.version, ninstr, body.String())
 }
 
 func opString(in *isa.Predecoded) string {

@@ -117,17 +117,13 @@ type Core struct {
 	pid    int
 	halted bool
 	stats  Stats
-	dec    predecoder
 
-	// blocks is the basic-block cache built over the predecoder (see
-	// block.go); emitted flags that the last executed instruction pushed
-	// a trace record, so the block executor knows when to poll the
-	// environment for a pending violation. bscratch is buildBlock's
-	// reusable staging slice — blocks are appended there and copied out
-	// at exact size, so steady-state block building never regrows.
-	blocks   map[uint32]*basicBlock
-	emitted  bool
-	bscratch []blockOp
+	// dec is the predecode cache, which the block executor (block.go)
+	// also runs from in place; emitted flags that the last executed
+	// instruction pushed a trace record, so the block executor knows
+	// when to poll the environment for a pending violation.
+	dec     predecoder
+	emitted bool
 
 	bpred      *BPred
 	mispredict uint64 // penalty cycles per wrong prediction
@@ -170,7 +166,6 @@ func New(cfg Config) *Core {
 		mispredict: penalty,
 		env:        cfg.Env,
 		dec:        newPredecoder(),
-		blocks:     make(map[uint32]*basicBlock),
 	}
 }
 
@@ -393,21 +388,21 @@ func (c *Core) execOne(in *isa.Predecoded) error {
 		c.halted = true
 
 	case isa.OpLui:
-		c.SetReg(int(in.Rd), in.ImmU<<12)
+		c.SetReg(int(in.Rd), uint32(in.Imm)<<12)
 	case isa.OpAddi:
-		c.SetReg(int(in.Rd), rs1+in.ImmU)
+		c.SetReg(int(in.Rd), rs1+uint32(in.Imm))
 	case isa.OpAndi:
-		c.SetReg(int(in.Rd), rs1&in.ImmU)
+		c.SetReg(int(in.Rd), rs1&uint32(in.Imm))
 	case isa.OpOri:
-		c.SetReg(int(in.Rd), rs1|in.ImmU)
+		c.SetReg(int(in.Rd), rs1|uint32(in.Imm))
 	case isa.OpXori:
-		c.SetReg(int(in.Rd), rs1^in.ImmU)
+		c.SetReg(int(in.Rd), rs1^uint32(in.Imm))
 	case isa.OpSlli:
-		c.SetReg(int(in.Rd), rs1<<(in.ImmU&31))
+		c.SetReg(int(in.Rd), rs1<<(uint32(in.Imm)&31))
 	case isa.OpSrli:
-		c.SetReg(int(in.Rd), rs1>>(in.ImmU&31))
+		c.SetReg(int(in.Rd), rs1>>(uint32(in.Imm)&31))
 	case isa.OpSrai:
-		c.SetReg(int(in.Rd), uint32(int32(rs1)>>(in.ImmU&31)))
+		c.SetReg(int(in.Rd), uint32(int32(rs1)>>(uint32(in.Imm)&31)))
 
 	case isa.OpAdd:
 		c.SetReg(int(in.Rd), rs1+rs2)
@@ -445,7 +440,7 @@ func (c *Core) execOne(in *isa.Predecoded) error {
 		}
 
 	case isa.OpLw, isa.OpLb, isa.OpLbu:
-		va := rs1 + in.ImmU
+		va := rs1 + uint32(in.Imm)
 		c.stats.Loads++
 		pa, err := c.dataAccess(va, false)
 		if err != nil {
@@ -461,7 +456,7 @@ func (c *Core) execOne(in *isa.Predecoded) error {
 		}
 
 	case isa.OpSw, isa.OpSb:
-		va := rs1 + in.ImmU
+		va := rs1 + uint32(in.Imm)
 		c.stats.Stores++
 		pa, err := c.dataAccess(va, true)
 		if err != nil {
@@ -495,11 +490,11 @@ func (c *Core) execOne(in *isa.Predecoded) error {
 			c.stats.Cycles += c.mispredict // pipeline refill
 		}
 		if taken {
-			nextPC = c.pc + in.ImmU
+			nextPC = c.pc + uint32(in.Imm)
 		}
 
 	case isa.OpJal:
-		target := c.pc + in.ImmU
+		target := c.pc + uint32(in.Imm)
 		if in.Rd != isa.R0 {
 			c.stats.Calls++
 			c.SetReg(int(in.Rd), c.pc+isa.InstBytes)
@@ -511,7 +506,7 @@ func (c *Core) execOne(in *isa.Predecoded) error {
 		nextPC = target
 
 	case isa.OpJalr:
-		target := (rs1 + in.ImmU) &^ 1
+		target := (rs1 + uint32(in.Imm)) &^ 1
 		kind := in.Ctl
 		switch kind {
 		case isa.CtlCall:

@@ -20,6 +20,7 @@ type stubEnv struct {
 	traces   []trace.Record
 	syscalls []int
 	sysFn    func(c *Core, num int) (uint64, error)
+	preLoad  func(va uint32) uint64
 	stall    uint64
 }
 
@@ -38,7 +39,13 @@ func (e *stubEnv) EmitTrace(r trace.Record) uint64 {
 
 func (e *stubEnv) PendingViolation() bool { return false }
 
-func (e *stubEnv) PreLoad(va uint32) uint64  { return 0 }
+func (e *stubEnv) PreLoad(va uint32) uint64 {
+	if e.preLoad != nil {
+		return e.preLoad(va)
+	}
+	return 0
+}
+
 func (e *stubEnv) PreStore(va uint32) uint64 { return 0 }
 
 // harness assembles a program, maps it into an address space and

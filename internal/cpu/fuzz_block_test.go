@@ -17,20 +17,33 @@ import (
 
 // FuzzBlockBuilder is the block engine's equivalence fuzzer: arbitrary
 // instruction byte streams (valid, invalid, and fusion-rich) run once
-// through per-instruction Step dispatch and once through block
-// formation + superinstruction fusion, and every architectural
+// through per-instruction Step dispatch and once through the block
+// walk with superinstruction fusion, and every architectural
 // outcome — registers, PC, halt flag, counters, fault identity, trace
 // and syscall streams, memory image — must be identical. The chunk
 // seed varies the block engine's visit budgets so mid-pair budget
-// stops and half-executed fusions are exercised too.
+// stops and half-executed fusions are exercised too, and a fuzzed
+// load hook writes the text the way a lazy checkpoint line restore
+// does, so loads that rewrite code are exercised as well as stores.
 
 // fuzzTextBase is where the fuzzed code lands (identity-mapped, two
 // pages so blocks and fused pairs can straddle a page boundary).
 const fuzzTextBase = 0x10000
 
+// loadPatch drives the fuzz env's PreLoad hook: on the k-th load
+// (k > 0) it stores word into the text off instructions from the
+// loading one, as a lazy line restore rewrites memory in the middle of
+// a load. Both engines issue the same loads, so the write lands at the
+// same point of both runs.
+type loadPatch struct {
+	k    uint8
+	off  int8
+	word uint32
+}
+
 // fuzzCore builds a fresh core with the code bytes mapped at
 // fuzzTextBase, a data page and a small stack.
-func fuzzCore(code []byte) (*Core, *stubEnv, *mem.Physical) {
+func fuzzCore(code []byte, patch loadPatch) (*Core, *stubEnv, *mem.Physical) {
 	phys := mem.NewPhysical(1 << 20)
 	as := oslite.NewAddressSpace(phys)
 	// Text is writable so fuzzed streams can self-modify (the block
@@ -63,6 +76,17 @@ func fuzzCore(code []byte) (*Core, *stubEnv, *mem.Physical) {
 	core.SetPC(fuzzTextBase)
 	core.SetReg(isa.RSP, stackTop-16)
 	core.SetReg(isa.RGP, dataBase)
+	loads := 0
+	env.preLoad = func(uint32) uint64 {
+		loads++
+		if loads == int(patch.k) {
+			at := (core.PC() + uint32(int32(patch.off)*isa.InstBytes)) &^ 3
+			if at-fuzzTextBase < 2*oslite.PageBytes {
+				phys.Write32(at, patch.word)
+			}
+		}
+		return 0
+	}
 	return core, env, phys
 }
 
@@ -102,8 +126,8 @@ func outcome(c *Core, env *stubEnv, phys *mem.Physical, attempts uint64, err err
 const fuzzCap = 2048
 
 // runScalar executes per-instruction dispatch up to the attempt cap.
-func runScalar(code []byte) fuzzOutcome {
-	c, env, phys := fuzzCore(code)
+func runScalar(code []byte, patch loadPatch) fuzzOutcome {
+	c, env, phys := fuzzCore(code, patch)
 	var n uint64
 	var err error
 	for n < fuzzCap && !c.Halted() && err == nil {
@@ -115,8 +139,8 @@ func runScalar(code []byte) fuzzOutcome {
 
 // runBlocks executes the same attempt count through the block engine,
 // in visit chunks whose sizes cycle through the chunk seed.
-func runBlocks(code []byte, chunk byte) fuzzOutcome {
-	c, env, phys := fuzzCore(code)
+func runBlocks(code []byte, chunk byte, patch loadPatch) fuzzOutcome {
+	c, env, phys := fuzzCore(code, patch)
 	sizes := [3]uint64{1 + uint64(chunk&7), 1 + uint64(chunk>>3&15), 64}
 	var n uint64
 	var err error
@@ -155,7 +179,7 @@ func FuzzBlockBuilder(f *testing.F) {
 		addi r4, r4, 2
 	done:
 		halt
-	`), byte(3))
+	`), byte(3), uint8(0), int8(0), uint32(0))
 	f.Add(mustAssemble(f, `
 		addi r5, r0, 100
 		mv r10, gp
@@ -168,16 +192,16 @@ func FuzzBlockBuilder(f *testing.F) {
 		bne r8, r0, loop
 		sys 0
 		halt
-	`), byte(9))
+	`), byte(9), uint8(0), int8(0), uint32(0))
 	f.Add(mustAssemble(f, `
 		jal lr, sub
 		halt
 	sub:
 		li r9, 0x100008
 		jalr r0, lr, 0
-	`), byte(17))
-	// A self-modifying store into the text page: the block cached over
-	// that page must be invalidated exactly like the scalar predecoder.
+	`), byte(17), uint8(0), int8(0), uint32(0))
+	// A self-modifying store into the text page: the walk must drop the
+	// page's decodings exactly like the scalar predecoder.
 	smc := mustAssemble(f, `
 		li r1, 0x10020
 		sw r0, 0(r1)
@@ -185,21 +209,42 @@ func FuzzBlockBuilder(f *testing.F) {
 		addi r3, r0, 8
 		halt
 	`)
-	f.Add(smc, byte(1))
+	f.Add(smc, byte(1), uint8(0), int8(0), uint32(0))
 	// Raw edge cases: empty, a single invalid word, unaligned-target
 	// jump material.
-	f.Add([]byte{}, byte(0))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, byte(5))
+	f.Add([]byte{}, byte(0), uint8(0), int8(0), uint32(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, byte(5), uint8(0), int8(0), uint32(0))
 	word := make([]byte, 4)
 	binary.LittleEndian.PutUint32(word, 0x00000000)
-	f.Add(word, byte(2))
+	f.Add(word, byte(2), uint8(0), int8(0), uint32(0))
+	// A load that rewrites the instruction right after it, as a lazy
+	// line restore does: the walk must not run the decoding it held.
+	f.Add(mustAssemble(f, `
+		la r2, patch
+		lw r4, 0(r2)
+	patch:
+		addi r1, r1, 1
+		halt
+	donor:
+		addi r1, r1, 100
+	`), byte(64), uint8(1), int8(1), isa.Encode(isa.Inst{Op: isa.OpAddi, Rd: 1, Rs1: 1, Imm: 100}))
+	// The same hazard between the halves of a fused load+op pair.
+	f.Add(mustAssemble(f, `
+		la r2, data
+		lw r4, 0(r2)
+		addi r4, r4, 1
+		halt
+	data:
+		halt
+	`), byte(64), uint8(1), int8(1), isa.Encode(isa.Inst{Op: isa.OpAddi, Rd: 4, Rs1: 4, Imm: 9}))
 
-	f.Fuzz(func(t *testing.T, code []byte, chunk byte) {
+	f.Fuzz(func(t *testing.T, code []byte, chunk byte, loadK uint8, off int8, patchWord uint32) {
 		if len(code) > 2*oslite.PageBytes {
 			code = code[:2*oslite.PageBytes]
 		}
-		want := runScalar(code)
-		got := runBlocks(code, chunk)
+		patch := loadPatch{k: loadK, off: off, word: patchWord}
+		want := runScalar(code, patch)
+		got := runBlocks(code, chunk, patch)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("block execution diverges from scalar\nscalar: %+v\nblock:  %+v", want, got)
 		}
@@ -226,8 +271,8 @@ func TestBlockBuilderSeedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for chunk := byte(0); chunk < 32; chunk += 5 {
-		want := runScalar(prog.Text)
-		got := runBlocks(prog.Text, chunk)
+		want := runScalar(prog.Text, loadPatch{})
+		got := runBlocks(prog.Text, chunk, loadPatch{})
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("chunk %d: block diverges\nscalar: %+v\nblock:  %+v", chunk, want, got)
 		}

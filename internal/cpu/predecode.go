@@ -20,11 +20,58 @@ import (
 // pageWords is how many 4-byte instruction slots one page holds.
 const pageWords = mem.PageBytes / isa.InstBytes
 
+// Word tags of a decPage. A tag at or above tagFuse also records the
+// block engine's dispatch decision for the word: tagFuse+k means the
+// word starts superinstruction k (isa.FuseNone included), so the
+// decision is made once per word under the page's current contents.
+const (
+	tagEmpty   uint8 = iota // not decoded
+	tagDecoded              // decoded, dispatch kind not yet classified
+	tagFuse                 // tagFuse + uint8(isa.FuseKind)
+)
+
 // decPage holds the decoded entries of one physical code page.
 type decPage struct {
 	version uint32 // mem page version the entries were decoded under
-	filled  [pageWords]bool
+	tag     [pageWords]uint8
 	insts   [pageWords]isa.Predecoded
+}
+
+// at returns word i of the page based at base, decoding it on first
+// use.
+func (pg *decPage) at(phys *mem.Physical, base, i uint32) *isa.Predecoded {
+	if pg.tag[i] == tagEmpty {
+		pg.decode(phys, base, i)
+	}
+	return &pg.insts[i]
+}
+
+// decode fills word i's slot from memory (at's slow path).
+func (pg *decPage) decode(phys *mem.Physical, base, i uint32) {
+	pg.insts[i] = isa.Predecode(phys.Read32(base + i*isa.InstBytes))
+	pg.tag[i] = tagDecoded
+}
+
+// kind returns the dispatch kind of word i: the superinstruction that
+// starts there, or isa.FuseNone.
+func (pg *decPage) kind(phys *mem.Physical, base, i uint32) isa.FuseKind {
+	if t := pg.tag[i]; t >= tagFuse {
+		return isa.FuseKind(t - tagFuse)
+	}
+	return pg.classify(phys, base, i)
+}
+
+// classify makes word i's dispatch decision on its first dispatch, by
+// the block-formation rule: a terminator never fuses, and a pair never
+// straddles the page end.
+func (pg *decPage) classify(phys *mem.Physical, base, i uint32) isa.FuseKind {
+	in := pg.at(phys, base, i)
+	k := isa.FuseNone
+	if !isa.EndsBlock(in) && i+1 < pageWords {
+		k = isa.Fuse(in, pg.at(phys, base, i+1))
+	}
+	pg.tag[i] = tagFuse + uint8(k)
+	return k
 }
 
 // predecoder is one core's predecode cache: a per-page map with a
@@ -41,6 +88,28 @@ func newPredecoder() predecoder {
 	return predecoder{pages: make(map[uint32]*decPage)}
 }
 
+// page returns the decoded page based at physical address base,
+// flushing its entries when the page was written since they were
+// decoded.
+func (d *predecoder) page(phys *mem.Physical, base uint32) *decPage {
+	pg := d.last
+	if pg == nil || d.lastBase != base {
+		pg = d.pages[base]
+		if pg == nil {
+			pg = &decPage{}
+			d.pages[base] = pg
+		}
+		d.last, d.lastBase = pg, base
+	}
+	if v := phys.PageVersion(base); pg.version != v {
+		// The page was written since these entries were decoded
+		// (self-modifying store, frame reuse, rollback): flush.
+		pg.tag = [pageWords]uint8{}
+		pg.version = v
+	}
+	return pg
+}
+
 // entry returns the decoded instruction at physical address pa,
 // decoding and caching it on first visit. Unaligned fetch addresses
 // (reachable only through attack-crafted jump targets) bypass the
@@ -51,27 +120,7 @@ func (d *predecoder) entry(phys *mem.Physical, pa uint32) *isa.Predecoded {
 		return &d.scratch
 	}
 	base := pa &^ uint32(mem.PageBytes-1)
-	pg := d.last
-	if pg == nil || d.lastBase != base {
-		pg = d.pages[base]
-		if pg == nil {
-			pg = &decPage{}
-			d.pages[base] = pg
-		}
-		d.last, d.lastBase = pg, base
-	}
-	if v := phys.PageVersion(pa); pg.version != v {
-		// The page was written since these entries were decoded
-		// (self-modifying store, frame reuse, rollback): flush.
-		pg.filled = [pageWords]bool{}
-		pg.version = v
-	}
-	idx := (pa & uint32(mem.PageBytes-1)) >> 2
-	if !pg.filled[idx] {
-		pg.insts[idx] = isa.Predecode(phys.Read32(pa))
-		pg.filled[idx] = true
-	}
-	return &pg.insts[idx]
+	return d.page(phys, base).at(phys, base, (pa-base)/isa.InstBytes)
 }
 
 // Predecoded reports whether the instruction at physical address pa is
@@ -86,5 +135,5 @@ func (c *Core) Predecoded(pa uint32) bool {
 	if pg == nil || pg.version != c.phys.PageVersion(pa) {
 		return false
 	}
-	return pg.filled[(pa&uint32(mem.PageBytes-1))>>2]
+	return pg.tag[(pa-base)/isa.InstBytes] != tagEmpty
 }

@@ -9,12 +9,14 @@ import (
 )
 
 // These tests extend TestSelfModifyingCodeFlushesPredecode to the
-// basic-block cache: the three ways a cached block can go stale that
-// per-page predecode versioning alone does not obviously cover — a
-// store landing inside the currently executing block, a checkpoint
-// rollback rewriting a code page underneath a cached block, and a
-// snapshot restore installing a different memory image whose page
-// versions collide with blocks decoded from another history.
+// block executor, which runs a visit straight off the decoded pages:
+// the four ways its decodings can go stale that a version check at
+// page entry alone does not cover — a store landing ahead of the PC on
+// the executing page, a checkpoint rollback rewriting a code page
+// between visits, a load whose checkpoint hook lazily restores a line
+// of the executing page, and a snapshot restore installing a different
+// memory image whose page versions collide with pages decoded from
+// another history.
 
 // remapTextRWX gives a harness the JIT-like posture the SMC tests
 // need (the default harness maps text r-x).
@@ -166,17 +168,71 @@ donor:
 		t.Fatal("program did not halt")
 	}
 	if got := h.core.Reg(1); got != 102 {
-		t.Fatalf("after rollback r1 = %d, want 102 (cached block survived the page restore)", got)
+		t.Fatalf("after rollback r1 = %d, want 102 (stale decodes survived the page restore)", got)
+	}
+}
+
+// TestBlockLoadRestoreInvalidates pins the load-side hazard: the
+// checkpoint engine restores a rolled-back line lazily, on the first
+// load that touches it, through Physical.WriteBytes. When that line
+// holds code ahead of the PC on the executing page, the walk must drop
+// its decodings after the load, exactly as after a store — per-step
+// execution decodes the restored bytes.
+func TestBlockLoadRestoreInvalidates(t *testing.T) {
+	const src = `
+_start:
+  la r2, patch
+  lw r4, 0(r2)      # lazily restores patch's line
+patch:
+  addi r1, r1, 1
+  halt
+donor:
+  addi r1, r1, 100  # copied over patch before the rollback
+`
+	// Back up patch's line in the current era, corrupt it with the
+	// donor word, then fail the era without draining: the line stays
+	// rolled back until its next access.
+	corrupt := func(h *harness) {
+		remapTextRWX(h)
+		patch := h.prog.Symbols["patch"]
+		eng, err := checkpoint.NewEngine(checkpoint.DefaultConfig(), h.as, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.env.preLoad = eng.PreLoad
+		eng.PreStore(patch)
+		w, err := h.as.Read32(h.prog.Symbols["donor"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.as.Write32(patch, w); err != nil {
+			t.Fatal(err)
+		}
+		eng.Fail()
+	}
+
+	h := newHarness(t, src)
+	corrupt(h)
+	runAllBlocks(t, h.core)
+
+	ref := newHarness(t, src)
+	corrupt(ref)
+	ref.run(t, 100)
+	if got := ref.core.Reg(1); got != 1 {
+		t.Fatalf("scalar r1 = %d, want 1 (the load did not restore the line)", got)
+	}
+	if got, want := h.core.Reg(1), ref.core.Reg(1); got != want {
+		t.Fatalf("block r1 = %d, scalar r1 = %d (stale decode ran after a load restored its line)", got, want)
 	}
 }
 
 // TestSnapshotRestoreFlushesBlockCache pins the warm-boot hazard that
 // makes FlushDerived load-bearing in Core.DecodeState: page versions
 // are restored verbatim from the snapshot, so a core that executed a
-// different history can hold a cached block whose recorded version
+// different history can hold a decoded page whose recorded version
 // matches the restored page exactly — while the bytes underneath
 // differ. Version checks alone cannot catch that; the restore path
-// must drop the caches wholesale.
+// must drop the decoded pages wholesale.
 func TestSnapshotRestoreFlushesBlockCache(t *testing.T) {
 	src := `
 _start:
@@ -212,8 +268,8 @@ donor:
 	twin.phys.EncodeState(&snap)
 
 	// Patch h's f and run it to completion on the block engine: both
-	// calls execute the patched instruction and the block cache holds
-	// f decoded from the patched bytes.
+	// calls execute the patched instruction and the predecoder holds
+	// f's page decoded from the patched bytes.
 	w, err := h.as.Read32(donor)
 	if err != nil {
 		t.Fatal(err)
@@ -225,13 +281,13 @@ donor:
 	if got := h.core.Reg(1); got != 200 {
 		t.Fatalf("patched run r1 = %d, want 200", got)
 	}
-	stale := h.core.blocks[patch]
-	if stale == nil {
-		t.Fatal("no cached block at the patch site after the run")
+	stale := h.core.dec.pages[patch&^uint32(pageMask)]
+	if stale == nil || !h.core.Predecoded(patch) {
+		t.Fatal("patch site not held decoded after the run")
 	}
 
 	// Restore the twin's snapshot onto h. The restored page version
-	// must equal the stale block's recorded version — that collision
+	// must equal the stale page's recorded version — that collision
 	// is the hazard under test.
 	r := wire.NewReader(snap.Bytes())
 	h.core.DecodeState(r)
@@ -240,14 +296,14 @@ donor:
 		t.Fatal(err)
 	}
 	if got := h.phys.PageVersion(patch); got != stale.version {
-		t.Fatalf("restored page version %d != stale block version %d: the test lost its version collision", got, stale.version)
+		t.Fatalf("restored page version %d != stale page version %d: the test lost its version collision", got, stale.version)
 	}
-	if len(h.core.blocks) != 0 {
-		t.Fatal("block cache not flushed by state restore")
+	if len(h.core.dec.pages) != 0 || h.core.Predecoded(patch) {
+		t.Fatal("decoded pages not flushed by state restore")
 	}
 
 	// Re-run from the restored state: memory says the original f, so
-	// the result must be 2 — a surviving stale block would yield 200.
+	// the result must be 2 — a surviving stale page would yield 200.
 	runAllBlocks(t, h.core)
 	if got := h.core.Reg(1); got != 2 {
 		t.Fatalf("restored run r1 = %d, want 2 (stale block executed after snapshot restore)", got)

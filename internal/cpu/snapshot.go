@@ -61,9 +61,9 @@ func (c *Core) DecodeState(r *wire.Reader) {
 	c.stats.SyncStall = r.U64()
 	c.cam.DecodeState(r)
 	c.bpred.DecodeState(r)
-	// The predecode and basic-block caches are excluded derived state:
-	// this core may have executed a different history, whose entries
-	// could collide with the restored memory's page versions.
+	// The predecode cache is excluded derived state: this core may have
+	// executed a different history, whose pages could collide with the
+	// restored memory's page versions.
 	c.FlushDerived()
 }
 

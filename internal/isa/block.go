@@ -1,24 +1,24 @@
 package isa
 
-// Basic-block formation and superinstruction fusion rules. The CPU's
-// block executor groups predecoded instructions into straight-line
-// blocks and collapses common adjacent pairs into fused dispatch slots;
-// the rules live here, next to the ISA definition they interpret, so
-// the builder, the differential harness and the fuzzer all share one
+// Basic-block and superinstruction fusion rules. The CPU's block
+// executor walks straight-line runs of predecoded instructions and
+// collapses common adjacent pairs into fused dispatch slots; the rules
+// live here, next to the ISA definition they interpret, so the
+// executor, the differential harness and the fuzzer all share one
 // source of truth.
 
 // FuseKind identifies a superinstruction: an adjacent instruction pair
 // the block executor dispatches as one slot. Fusion never changes
 // architectural semantics — each kind is defined as "exactly the two
 // scalar steps, back to back" — it only removes dispatch overhead (and,
-// for FuseLuiAddi, folds the constant at decode time).
+// for FuseLuiAddi, a register round-trip).
 type FuseKind uint8
 
 const (
 	FuseNone FuseKind = iota
 	// FuseLuiAddi: lui rd, hi ; addi rd, rd, lo. The classic
-	// load-32-bit-constant idiom; the sum (hi<<12)+lo folds at block
-	// build time into a single register write.
+	// load-32-bit-constant idiom; the sum (hi<<12)+lo becomes a single
+	// register write.
 	FuseLuiAddi
 	// FuseCmpBranch: slt/sltu rd, a, b ; beq/bne with operands {rd, r0}.
 	// The comparison result feeds the branch directly instead of

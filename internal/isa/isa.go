@@ -212,8 +212,9 @@ func Decode(w uint32) Inst {
 // Predecoded is the flattened, dispatch-ready form of an instruction:
 // Decode's field unpacking plus every per-instruction derivation the
 // execution loop would otherwise redo on each dynamic visit — opcode
-// validity, the control-transfer class, and the zero-extended immediate
-// the ALU consumes. Cores cache one Predecoded per static instruction
+// validity and the control-transfer class. The ALU and address
+// generation consume the immediate as uint32(Imm), which costs nothing
+// at dispatch. Cores cache one Predecoded per static instruction
 // and revalidate it against the code page's write version, so the
 // decode work is paid once per (page content, address) instead of once
 // per executed instruction.
@@ -225,7 +226,6 @@ type Predecoded struct {
 	Valid bool
 	Ctl   ControlKind // Classify of the instruction, precomputed
 	Imm   int32       // sign-extended immediate (Decode semantics)
-	ImmU  uint32      // uint32(Imm): the ALU/address-generation form
 }
 
 // Predecode decodes w and flattens it for cached dispatch. The result
@@ -240,7 +240,6 @@ func Predecode(w uint32) Predecoded {
 		Valid: in.Op.Valid(),
 		Ctl:   Classify(in),
 		Imm:   in.Imm,
-		ImmU:  uint32(in.Imm),
 	}
 }
 

@@ -9,7 +9,7 @@
 //	magic   "INDRSNAP" (8 bytes)
 //	version uint32 (strict gate: readers accept exactly Version)
 //	config  chip.Config (every field except the Obs sink)
-//	payload chip state (see chip.Snapshot; framing owned by the chip)
+//	payload chip state (see chip.EncodeState; framing owned by the chip)
 //
 // The decoder is strict: unknown magic, version skew, truncation,
 // trailing bytes and structurally impossible counts are all errors,
@@ -45,7 +45,7 @@ func Save(c *chip.Chip) []byte {
 	w.Raw(magic)
 	w.U32(Version)
 	encodeConfig(&w, c.Config())
-	w.Raw(c.Snapshot())
+	c.EncodeState(&w)
 	return w.Bytes()
 }
 

@@ -28,9 +28,10 @@ import (
 // cell is snapshotted and restored. The shortest golden service run
 // (bind, 3 requests) executes ~72k instructions, so all four points
 // are genuinely mid-run for every service. The 45k point lands deep in
-// steady-state request handling, where the basic-block cache is fully
-// warm: it pins that the block cache is rebuilt (never serialized) and
-// that a restore onto a fresh chip mid-hot-loop stays byte-exact.
+// steady-state request handling, where the decoded pages the block
+// executor runs from are fully warm: it pins that they are rebuilt
+// (never serialized) and that a restore onto a fresh chip mid-hot-loop
+// stays byte-exact.
 var resumePoints = []uint64{5_000, 20_000, 45_000, 60_000}
 
 // segTracker records the deepest segmentation any cell of an

@@ -1,6 +1,7 @@
 package indra
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -157,11 +158,15 @@ func (w *WarmBooter) boot(params workload.Params, scale float64, cfg chip.Config
 		return nil, nil, nil, err
 	}
 
+	// The cache keeps its blobs for the process's life: clone each to
+	// its length, since Save's buffer carries up to a quarter of slack
+	// from its last growth.
+	blob := bytes.Clone(snapshot.Save(ch))
 	w.mu.Lock()
 	if len(w.entries) >= warmEntryCap {
 		w.entries = make(map[string]warmEntry)
 	}
-	w.entries[key] = warmEntry{progs: []*asm.Program{prog}, blob: snapshot.Save(ch)}
+	w.entries[key] = warmEntry{progs: []*asm.Program{prog}, blob: blob}
 	w.mu.Unlock()
 	return ch, port, prog, nil
 }
@@ -245,11 +250,12 @@ func (w *WarmBooter) BootNode(names []string, scale float64, cfg chip.Config) (*
 		}
 	}
 
+	blob := bytes.Clone(snapshot.Save(ch))
 	w.mu.Lock()
 	if len(w.entries) >= warmEntryCap {
 		w.entries = make(map[string]warmEntry)
 	}
-	w.entries[key] = warmEntry{progs: progs, blob: snapshot.Save(ch)}
+	w.entries[key] = warmEntry{progs: progs, blob: blob}
 	w.mu.Unlock()
 	return ch, ports, progs, nil
 }
