@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	"indra/internal/attack"
 	"indra/internal/checkpoint"
 	"indra/internal/chip"
 	"indra/internal/monitor"
-	"indra/internal/netsim"
 	"indra/internal/parallel"
 	"indra/internal/trace"
-	"indra/internal/workload"
 )
 
 // Ablation studies for the design choices DESIGN.md calls out. These
@@ -245,30 +242,13 @@ func AblationRollback(o ExpOptions) (*AblationRollbackResult, error) {
 	res := &AblationRollbackResult{Service: service}
 
 	run := func(eager bool) (uint64, uint64, error) {
-		params := workload.MustByName(service)
-		if o.Scale != 1.0 {
-			params = params.Scale(o.Scale)
-		}
-		prog, err := params.BuildProgram()
-		if err != nil {
-			return 0, 0, err
-		}
-		legit := params.GenRequests(o.Requests, o.Seed)
-		var stream []netsim.Request
-		for _, rq := range legit {
-			stream = append(stream, rq, attack.NewDoSLateCrash())
-		}
 		cfg := chip.DefaultConfig()
 		cfg.EagerRollback = eager
-		ch, err := chip.New(cfg)
+		b, err := bootChip(cfg, []string{service}, o.Scale)
 		if err != nil {
 			return 0, 0, err
 		}
-		port := netsim.NewPort(stream)
-		if _, err := ch.LaunchService(0, service, prog, port); err != nil {
-			return 0, 0, err
-		}
-		ch, result, err := o.drive(ch, 0)
+		ch, _, result, err := b.run(o.RunLoop, rollbackEveryOther(b.params[0].GenRequests(o.Requests, o.Seed)), 0)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -377,25 +357,14 @@ func AblationResurrectors(o ExpOptions) (*AblationResurrectorsResult, error) {
 			Origin: c.Origin * 2, Control: c.Control * 2, Setjmp: c.Setjmp * 2,
 		}
 		cfg.Scheme = chip.SchemeNone
-		ch, err := chip.New(cfg)
+		b, err := bootChip(cfg, []string{"imap", "httpd"}, o.Scale)
 		if err != nil {
 			return 0, err
 		}
-		for slot, name := range []string{"imap", "httpd"} {
-			params := workload.MustByName(name)
-			if o.Scale != 1.0 {
-				params = params.Scale(o.Scale)
-			}
-			prog, err := params.BuildProgram()
-			if err != nil {
-				return 0, err
-			}
-			port := netsim.NewPort(params.GenRequests(o.Requests, o.Seed+uint32(slot)))
-			if _, err := ch.LaunchService(slot, name, prog, port); err != nil {
-				return 0, err
-			}
+		for slot, port := range b.ports {
+			port.Enqueue(b.params[slot].GenRequests(o.Requests, o.Seed+uint32(slot))...)
 		}
-		_, res, err := o.drive(ch, 0)
+		_, res, err := o.RunLoop.drive(b.ch, 0)
 		if err != nil {
 			return 0, err
 		}

@@ -8,7 +8,6 @@ import (
 	"indra/internal/chip"
 	"indra/internal/netsim"
 	"indra/internal/parallel"
-	"indra/internal/workload"
 )
 
 // The availability experiment quantifies the paper's motivation
@@ -52,40 +51,25 @@ func Availability(o ExpOptions) (*AvailabilityResult, error) {
 		}},
 	}
 	rows, err := parallel.Run(o.pool(), cells, func(_ int, c cell) (AvailabilityRow, error) {
-		params := workload.MustByName(service)
-		if o.Scale != 1.0 {
-			params = params.Scale(o.Scale)
-		}
-		prog, err := params.BuildProgram()
+		cfg := chip.DefaultConfig()
+		c.mutate(&cfg)
+		b, err := bootChip(cfg, []string{service}, o.Scale)
 		if err != nil {
 			return AvailabilityRow{}, err
 		}
-		smash, err := attack.NewStackSmash(prog)
+		smash, err := attack.NewStackSmash(b.progs[0])
 		if err != nil {
 			return AvailabilityRow{}, err
 		}
 		var stream []netsim.Request
-		for _, rq := range params.GenRequests(o.Requests, o.Seed) {
+		for _, rq := range b.params[0].GenRequests(o.Requests, o.Seed) {
 			a := smash
 			a.Payload = append([]byte(nil), smash.Payload...)
 			stream = append(stream, a, rq) // attack, legit, attack, legit...
 		}
-		cfg := chip.DefaultConfig()
-		c.mutate(&cfg)
-		ch, err := chip.New(cfg)
+		_, port, result, err := b.run(o.RunLoop, stream, 0)
 		if err != nil {
 			return AvailabilityRow{}, err
-		}
-		port := netsim.NewPort(stream)
-		if _, err := ch.LaunchService(0, service, prog, port); err != nil {
-			return AvailabilityRow{}, err
-		}
-		ch, result, err := o.drive(ch, 0)
-		if err != nil {
-			return AvailabilityRow{}, err
-		}
-		if p := ch.ActivePort(0); p != nil {
-			port = p
 		}
 		served, total := 0, 0
 		for _, r := range port.Records() {

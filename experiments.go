@@ -44,19 +44,20 @@ type ExpOptions struct {
 	// Meter, when non-nil, accumulates cell counts and wall/work time
 	// across experiments (the CLIs use it for the throughput summary).
 	Meter *parallel.Meter
-	// Obs, when non-nil, collects one metrics snapshot per simulation
-	// cell (keyed by cell configuration; rendered in canonical order,
-	// so the output is identical whatever the worker count). Cells that
-	// bypass RunService — Table 3's backup micro-runs, Fig 16's rollback
-	// variant, the fault sweep — are not registered.
+	// Obs, RunLoop and Warm follow one rule. Cells that run through
+	// RunService honour all three: each registers one metrics cell with
+	// Obs (keyed by cell configuration and rendered in canonical order,
+	// so the output is identical whatever the worker count), is driven
+	// by RunLoop, and boots from Warm's cached post-boot snapshot unless
+	// Obs is set. Cells that build their own request stream, and the
+	// fleet's nodes, honour RunLoop only: they boot cold and are not
+	// registered with Obs.
 	Obs *obs.Suite
-	// RunLoop, when non-nil, drives every RunService cell — and every
-	// fleet node-round — in place of the single chip.Run call (see
-	// Options.RunLoop). Cells that bypass RunService run uninterrupted
-	// regardless.
+	// RunLoop, when non-nil, drives every chip in place of the single
+	// chip.Run call (see Options.RunLoop).
 	RunLoop RunLoopFunc
-	// Warm, when non-nil, boots RunService cells from cached post-boot
-	// snapshots (see Options.Warm). Ignored for cells that attach Obs.
+	// Warm, when non-nil, is RunService cells' warm-boot cache (see
+	// Options.Warm).
 	Warm *WarmBooter
 	// FleetPolicy restricts the fleet experiment to one recovery policy
 	// ("" runs all of FleetPolicies). Other experiments ignore it.
@@ -83,17 +84,14 @@ func (o ExpOptions) runOpts(cfg chip.Config) Options {
 	return Options{Chip: &cfg, Requests: o.Requests, Scale: o.Scale, Seed: o.Seed, ObsSuite: o.Obs, RunLoop: o.RunLoop, Warm: o.Warm}
 }
 
-// drive runs a directly-built chip through the experiment's run loop:
-// the single ch.Run call by default, or o.RunLoop (e.g. segmented
-// snapshot/restore) when set. Callers must read all post-run state —
-// ports, processes, stats — from the returned chip, which may be a
-// revived replacement for the one passed in.
-func (o ExpOptions) drive(ch *chip.Chip, maxInstr uint64) (*chip.Chip, chip.RunResult, error) {
-	if o.RunLoop != nil {
-		return o.RunLoop(ch, maxInstr)
+// rollbackEveryOther follows each legitimate request with a late-crash
+// DoS, so the service rolls back after every other request.
+func rollbackEveryOther(legit []netsim.Request) []netsim.Request {
+	stream := make([]netsim.Request, 0, 2*len(legit))
+	for _, rq := range legit {
+		stream = append(stream, rq, attack.NewDoSLateCrash())
 	}
-	res, err := ch.Run(maxInstr)
-	return ch, res, err
+	return stream
 }
 
 // pool returns the worker pool experiments fan their cells out on.
@@ -598,35 +596,13 @@ func Fig16(o ExpOptions) (*Fig16Result, error) {
 			}
 			return run.Summary.MeanRT, nil
 		default:
-			// Rollback every other request: interleave a crash attack
-			// after each legitimate request.
-			params := workload.MustByName(c.service)
-			if o.Scale != 1.0 {
-				params = params.Scale(o.Scale)
-			}
-			prog, err := params.BuildProgram()
+			b, err := bootChip(chip.DefaultConfig(), []string{c.service}, o.Scale)
 			if err != nil {
 				return 0, err
 			}
-			legit := params.GenRequests(o.Requests, o.Seed)
-			var stream []netsim.Request
-			for _, rq := range legit {
-				stream = append(stream, rq, attack.NewDoSLateCrash())
-			}
-			ch, err := chip.New(chip.DefaultConfig())
+			_, port, _, err := b.run(o.RunLoop, rollbackEveryOther(b.params[0].GenRequests(o.Requests, o.Seed)), 0)
 			if err != nil {
 				return 0, err
-			}
-			port := netsim.NewPort(stream)
-			if _, err := ch.LaunchService(0, c.service, prog, port); err != nil {
-				return 0, err
-			}
-			ch, _, err = o.drive(ch, 0)
-			if err != nil {
-				return 0, err
-			}
-			if p := ch.ActivePort(0); p != nil {
-				port = p
 			}
 			return port.Summarize().MeanRT, nil
 		}
@@ -712,17 +688,11 @@ func Table2(o ExpOptions) (*Table2Result, error) {
 		// DoS hang needs a liveness budget that trips within the run.
 		cfg.Recovery.InstrBudget = 2_000_000
 		const legit = 4
-		run, err := RunService("httpd", Options{
-			Chip:        &cfg,
-			Requests:    legit,
-			Scale:       o.Scale,
-			Seed:        o.Seed,
-			Attacks:     []attack.Kind{tc.kind},
-			AttackAfter: legit, // exploits arrive after the legit stream
-			ObsSuite:    o.Obs,
-			RunLoop:     o.RunLoop,
-			Warm:        o.Warm,
-		})
+		opts := o.runOpts(cfg)
+		opts.Requests = legit
+		opts.Attacks = []attack.Kind{tc.kind}
+		opts.AttackAfter = legit // exploits arrive after the legit stream
+		run, err := RunService("httpd", opts)
 		if err != nil {
 			return Table2Row{}, err
 		}
@@ -810,35 +780,16 @@ func Table3(o ExpOptions) (*Table3Result, error) {
 			}
 			return out{meanRT: base.Summary.MeanRT}, nil
 		}
-		params := workload.MustByName(service)
-		if o.Scale != 1.0 {
-			params = params.Scale(o.Scale)
-		}
-		prog, err := params.BuildProgram()
-		if err != nil {
-			return out{}, err
-		}
-		var stream []netsim.Request
-		for _, rq := range params.GenRequests(o.Requests, o.Seed) {
-			stream = append(stream, rq, attack.NewDoSLateCrash())
-		}
 		cfg := chip.DefaultConfig()
 		cfg.Monitoring = false // isolate backup/recovery costs
 		cfg.Scheme = sk
-		ch, err := chip.New(cfg)
+		b, err := bootChip(cfg, []string{service}, o.Scale)
 		if err != nil {
 			return out{}, err
 		}
-		port := netsim.NewPort(stream)
-		if _, err := ch.LaunchService(0, service, prog, port); err != nil {
-			return out{}, err
-		}
-		ch, _, err = o.drive(ch, 0)
+		ch, port, _, err := b.run(o.RunLoop, rollbackEveryOther(b.params[0].GenRequests(o.Requests, o.Seed)), 0)
 		if err != nil {
 			return out{}, err
-		}
-		if p := ch.ActivePort(0); p != nil {
-			port = p
 		}
 		sum := port.Summarize()
 		ov := ch.Process(0).Ckpt.Overhead()

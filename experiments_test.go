@@ -2,7 +2,11 @@ package indra
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"indra/internal/chip"
+	"indra/internal/obs"
 )
 
 // Shape-regression tests: each experiment must keep reproducing the
@@ -305,5 +309,66 @@ func TestMonitorRecordMixHelper(t *testing.T) {
 	kinds := SortedKinds(mix)
 	if len(kinds) < 2 || kinds[0] > kinds[1] {
 		t.Fatalf("sorted kinds %v", kinds)
+	}
+}
+
+// TestExperimentCellAccounting pins, per registered experiment, how
+// many chip runs go through ExpOptions.RunLoop and how many metrics
+// cells register with ExpOptions.Obs. RunService cells honour both;
+// cells that build their own request stream, and the fleet's node
+// rounds, run through RunLoop but stay unregistered. A chip that
+// stopped running through RunLoop, or a RunService cell that dropped
+// Obs, moves its experiment's pair.
+func TestExperimentCellAccounting(t *testing.T) {
+	want := map[string][2]int{ // {chip runs, registered cells}
+		"table2":                {6, 6},
+		"table3":                {5, 1},
+		"table4":                {0, 0},
+		"fig9":                  {6, 6},
+		"fig10":                 {12, 12},
+		"fig11":                 {12, 12},
+		"fig12":                 {36, 36},
+		"fig13":                 {6, 6},
+		"fig14":                 {12, 12},
+		"fig15":                 {6, 6},
+		"fig16":                 {18, 12},
+		"ablation-line":         {7, 7},
+		"ablation-cam":          {6, 6},
+		"ablation-monitor":      {6, 6},
+		"ablation-rollback":     {2, 0},
+		"ablation-space":        {6, 6},
+		"ablation-resurrectors": {2, 0},
+		"availability":          {2, 0},
+		"latency":               {5, 5},
+		"ablation-bpred":        {5, 5},
+		"faultsweep":            {40, 0},
+		"fleet":                 {81, 0},
+	}
+	if len(want) != len(Experiments()) {
+		t.Errorf("%d experiments pinned, %d registered", len(want), len(Experiments()))
+	}
+	for _, id := range Experiments() {
+		w, ok := want[id]
+		if !ok {
+			t.Errorf("%s: no pinned accounting", id)
+			continue
+		}
+		if id == "fleet" && testing.Short() {
+			continue // 81 six-service node rounds
+		}
+		var runs atomic.Int64
+		suite := obs.NewSuite()
+		o := ExpOptions{Requests: 1, Workers: 1, Obs: suite,
+			RunLoop: func(ch *chip.Chip, maxInstr uint64) (*chip.Chip, chip.RunResult, error) {
+				runs.Add(1)
+				res, err := ch.Run(maxInstr)
+				return ch, res, err
+			}}
+		if _, err := RunExperiment(id, o); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got := [2]int{int(runs.Load()), suite.Len()}; got != w {
+			t.Errorf("%s: runs/registered = %d/%d, want %d/%d", id, got[0], got[1], w[0], w[1])
+		}
 	}
 }

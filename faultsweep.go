@@ -175,27 +175,15 @@ func programNICRing(ch *chip.Chip, bufPA uint32, capacity, count int, dmaCore in
 // runDeviceCell stages one device attack against httpd under the
 // cell's fault plans and reports whether the protection caught it.
 func runDeviceCell(o ExpOptions, scenario string, rate float64, seedBase uint64) (DeviceRow, error) {
-	params := workload.MustByName("httpd")
-	if o.Scale != 1.0 {
-		params = params.Scale(o.Scale)
-	}
-	prog, err := params.BuildProgram()
-	if err != nil {
-		return DeviceRow{}, err
-	}
-	stream := params.GenRequests(o.Requests, o.Seed)
-
 	cfg := chip.DefaultConfig()
 	cfg.Faults = deviceSweepPlans(rate, seedBase)
 	cfg.HeartbeatInterval = faultSweepHeartbeat
-	ch, err := chip.New(cfg)
+	b, err := bootChip(cfg, []string{"httpd"}, o.Scale)
 	if err != nil {
 		return DeviceRow{}, err
 	}
-	port := netsim.NewPort(stream)
-	if _, err := ch.LaunchService(0, "httpd", prog, port); err != nil {
-		return DeviceRow{}, err
-	}
+	ch, port, prog := b.ch, b.ports[0], b.progs[0]
+	port.Enqueue(b.params[0].GenRequests(o.Requests, o.Seed)...)
 	dmaCore := cfg.Resurrectors // slot 0's core
 
 	row := DeviceRow{Scenario: scenario, Rate: rate}
@@ -212,7 +200,7 @@ func runDeviceCell(o ExpOptions, scenario string, rate float64, seedBase uint64)
 		return false
 	}
 	drive := func(maxInstr uint64) error {
-		next, res, err := o.drive(ch, maxInstr)
+		next, res, err := o.RunLoop.drive(ch, maxInstr)
 		ch = next
 		row.Detections += res.Violations
 		if errors.Is(err, chip.ErrInstrLimit) {
@@ -341,44 +329,28 @@ func FaultSweep(o ExpOptions) (*FaultSweepResult, error) {
 	}
 	rows, err := parallel.Run(o.pool(), cells, func(_ int, c cell) (FaultSweepRow, error) {
 		rate := FaultSweepRates[c.rateIdx]
-		params := workload.MustByName(c.service)
-		if o.Scale != 1.0 {
-			params = params.Scale(o.Scale)
-		}
-		prog, err := params.BuildProgram()
+		cfg := chip.DefaultConfig()
+		seedBase := uint64(o.Seed)<<32 | uint64(c.svcIdx)<<16 | uint64(c.rateIdx)<<8
+		cfg.Faults = faultSweepPlans(rate, seedBase)
+		cfg.HeartbeatInterval = faultSweepHeartbeat
+		b, err := bootChip(cfg, []string{c.service}, o.Scale)
 		if err != nil {
 			return FaultSweepRow{}, err
 		}
-		stream := params.GenRequests(o.Requests, o.Seed)
+		stream := b.params[0].GenRequests(o.Requests, o.Seed)
 		for _, class := range AttackClasses {
-			seq, err := attack.Sequence(class, prog)
+			seq, err := attack.Sequence(class, b.progs[0])
 			if err != nil {
 				return FaultSweepRow{}, err
 			}
 			stream = append(stream, seq...)
 		}
-
-		cfg := chip.DefaultConfig()
-		seedBase := uint64(o.Seed)<<32 | uint64(c.svcIdx)<<16 | uint64(c.rateIdx)<<8
-		cfg.Faults = faultSweepPlans(rate, seedBase)
-		cfg.HeartbeatInterval = faultSweepHeartbeat
-		ch, err := chip.New(cfg)
-		if err != nil {
-			return FaultSweepRow{}, err
-		}
-		port := netsim.NewPort(stream)
-		if _, err := ch.LaunchService(0, c.service, prog, port); err != nil {
-			return FaultSweepRow{}, err
-		}
 		// Cells are capped so a pathological fault pattern (e.g. a lost
 		// rollback bit leaving a service looping) still yields a row.
-		ch, res, err := o.drive(ch, 50_000_000)
+		ch, port, res, err := b.run(o.RunLoop, stream, 50_000_000)
 		truncated := errors.Is(err, chip.ErrInstrLimit)
 		if err != nil && !truncated {
 			return FaultSweepRow{}, err
-		}
-		if p := ch.ActivePort(0); p != nil {
-			port = p
 		}
 
 		row := FaultSweepRow{

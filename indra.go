@@ -52,10 +52,6 @@ type Options struct {
 	Attacks []attack.Kind
 	// AttackAfter defaults to half the legitimate requests.
 	AttackAfter int
-	// Uniform sends every legitimate request to handler UniformSlot
-	// instead of the service's weighted mix (experiment control).
-	Uniform     bool
-	UniformSlot int
 	// MaxInstructions caps the run (0 = a generous default).
 	MaxInstructions uint64
 	// Obs receives the run's metrics and trace events (nil = observation
@@ -127,18 +123,10 @@ type ServiceRun struct {
 // imap, nfs), boots a chip, feeds it the request stream and runs to
 // completion.
 func RunService(name string, opts Options) (*ServiceRun, error) {
-	params, err := workload.ByName(name)
+	opts = opts.withDefaults()
+	params, err := serviceParams(name, opts.Scale)
 	if err != nil {
 		return nil, err
-	}
-	return RunWorkload(params, opts)
-}
-
-// RunWorkload is RunService for explicit (possibly custom) parameters.
-func RunWorkload(params workload.Params, opts Options) (*ServiceRun, error) {
-	opts = opts.withDefaults()
-	if opts.Scale != 1.0 {
-		params = params.Scale(opts.Scale)
 	}
 
 	// The chip config is copied before observation is attached: callers
@@ -156,42 +144,22 @@ func RunWorkload(params workload.Params, opts Options) (*ServiceRun, error) {
 	// otherwise), then enqueue the request stream: the service only
 	// reads its port while running, so a post-launch chip with an empty
 	// port is a valid boot image for any stream.
-	var (
-		prog *asm.Program
-		ch   *chip.Chip
-		port *netsim.Port
-		err  error
-	)
+	var b *bootedChip
 	if opts.Warm != nil && opts.Obs == nil && opts.ObsSuite == nil {
-		ch, port, prog, err = opts.Warm.boot(params, opts.Scale, cfg)
-		if err != nil {
-			return nil, err
-		}
+		b = &bootedChip{params: []workload.Params{params}}
+		b.ch, b.ports, b.progs, err = opts.Warm.BootNode([]string{name}, opts.Scale, cfg)
 	} else {
-		prog, err = params.BuildProgram()
-		if err != nil {
-			return nil, err
-		}
 		if opts.ObsSuite != nil {
-			cfg.Obs = opts.ObsSuite.Cell(obsCellKey(params.Name, opts, cfg))
+			cfg.Obs = opts.ObsSuite.Cell(obsCellKey(name, opts, cfg))
 		}
-		ch, err = chip.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		port = netsim.NewPort(nil)
-		if _, err := ch.LaunchService(0, params.Name, prog, port); err != nil {
-			return nil, err
-		}
+		b, err = bootChip(cfg, []string{name}, opts.Scale)
 	}
-
-	var reqs []netsim.Request
-	if opts.Uniform {
-		reqs = params.GenUniformRequests(opts.Requests, opts.UniformSlot, opts.Seed)
-	} else {
-		reqs = params.GenRequests(opts.Requests, opts.Seed)
+	if err != nil {
+		return nil, err
 	}
+	prog := b.progs[0]
 
+	reqs := params.GenRequests(opts.Requests, opts.Seed)
 	if len(opts.Attacks) > 0 {
 		cut := opts.AttackAfter
 		if cut > len(reqs) {
@@ -208,25 +176,12 @@ func RunWorkload(params workload.Params, opts Options) (*ServiceRun, error) {
 		stream = append(stream, reqs[cut:]...)
 		reqs = stream
 	}
-	port.Enqueue(reqs...)
-	var res chip.RunResult
-	if opts.RunLoop != nil {
-		var final *chip.Chip
-		final, res, err = opts.RunLoop(ch, opts.MaxInstructions)
-		if final != nil {
-			ch = final
-			if p := ch.ActivePort(0); p != nil {
-				port = p
-			}
-		}
-	} else {
-		res, err = ch.Run(opts.MaxInstructions)
-	}
+	ch, port, res, err := b.run(opts.RunLoop, reqs, opts.MaxInstructions)
 	if err != nil {
-		return nil, fmt.Errorf("indra: %s run: %w", params.Name, err)
+		return nil, fmt.Errorf("indra: %s run: %w", name, err)
 	}
 	return &ServiceRun{
-		Name:    params.Name,
+		Name:    name,
 		Params:  params,
 		Program: prog,
 		Chip:    ch,
@@ -234,6 +189,86 @@ func RunWorkload(params workload.Params, opts Options) (*ServiceRun, error) {
 		Summary: port.Summarize(),
 		Result:  res,
 	}, nil
+}
+
+// serviceParams resolves a stock service's workload parameters at scale.
+func serviceParams(name string, scale float64) (workload.Params, error) {
+	params, err := workload.ByName(name)
+	if err != nil {
+		return workload.Params{}, err
+	}
+	if scale != 1.0 {
+		params = params.Scale(scale)
+	}
+	return params, nil
+}
+
+// bootedChip is a booted chip, cold or restored: service i runs on
+// resurrectee slot i and waits on the empty ports[i].
+type bootedChip struct {
+	ch     *chip.Chip
+	ports  []*netsim.Port
+	params []workload.Params // scaled
+	progs  []*asm.Program
+}
+
+// bootChip is INDRA's asymmetric boot (Section 3.1.2) for every service
+// chip this package runs: chip.New brings up the resurrector and
+// programs the watchdog, then names[i], resolved and scaled once, is
+// launched on resurrectee slot i with an empty port. Callers enqueue
+// their request streams on the returned ports.
+func bootChip(cfg chip.Config, names []string, scale float64) (*bootedChip, error) {
+	ch, err := chip.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	b := &bootedChip{ch: ch}
+	for i, name := range names {
+		params, err := serviceParams(name, scale)
+		if err != nil {
+			return nil, err
+		}
+		prog, err := params.BuildProgram()
+		if err != nil {
+			return nil, err
+		}
+		port := netsim.NewPort(nil)
+		if _, err := ch.LaunchService(i, name, prog, port); err != nil {
+			return nil, err
+		}
+		b.ports = append(b.ports, port)
+		b.params = append(b.params, params)
+		b.progs = append(b.progs, prog)
+	}
+	return b, nil
+}
+
+// run enqueues stream on slot 0's port and drives the chip through loop
+// for at most maxInstr instructions. It returns the chip that finished
+// the run — loop may hand back one restored from a snapshot — and slot
+// 0's port on it.
+func (b *bootedChip) run(loop RunLoopFunc, stream []netsim.Request, maxInstr uint64) (*chip.Chip, *netsim.Port, chip.RunResult, error) {
+	port := b.ports[0]
+	port.Enqueue(stream...)
+	ch, res, err := loop.drive(b.ch, maxInstr)
+	if ch == nil {
+		return b.ch, port, res, err
+	}
+	if p := ch.ActivePort(0); p != nil {
+		port = p
+	}
+	return ch, port, res, err
+}
+
+// drive runs ch through l, or through a single ch.Run when l is nil.
+// Callers must read all post-run state — ports, processes, stats — from
+// the returned chip, which may be a revived replacement for ch.
+func (l RunLoopFunc) drive(ch *chip.Chip, maxInstr uint64) (*chip.Chip, chip.RunResult, error) {
+	if l != nil {
+		return l(ch, maxInstr)
+	}
+	res, err := ch.Run(maxInstr)
+	return ch, res, err
 }
 
 // Violations returns the monitor detections of a run.
@@ -256,9 +291,9 @@ func DefaultChipConfig() chip.Config { return chip.DefaultConfig() }
 // content, so the rendered output stays canonical either way.
 func obsCellKey(service string, o Options, cfg chip.Config) string {
 	return fmt.Sprintf(
-		"%s/scheme=%s/mon=%t/fifo=%d/cam=%d/bpred=%d/line=%d/moncall=%d/eager=%t/reboot=%t/slots=%d/res=%d/req=%d/seed=%d/scale=%g/atk=%d/uni=%t-%d",
+		"%s/scheme=%s/mon=%t/fifo=%d/cam=%d/bpred=%d/line=%d/moncall=%d/eager=%t/reboot=%t/slots=%d/res=%d/req=%d/seed=%d/scale=%g/atk=%d",
 		service, cfg.Scheme, cfg.Monitoring, cfg.FIFOEntries, cfg.CAMSize, cfg.BPredEntries,
 		cfg.Checkpoint.LineBytes, cfg.MonitorCosts.Call, cfg.EagerRollback, cfg.RebootRecovery,
 		cfg.Resurrectees, cfg.Resurrectors,
-		o.Requests, o.Seed, o.Scale, len(o.Attacks), o.Uniform, o.UniformSlot)
+		o.Requests, o.Seed, o.Scale, len(o.Attacks))
 }

@@ -541,16 +541,10 @@ func (c *Chip) LaunchService(slot int, name string, prog *asm.Program, port *net
 	if slot < 0 || slot >= len(c.cores) {
 		return nil, fmt.Errorf("chip: no resurrectee slot %d", slot)
 	}
-	var newScheme func(checkpoint.Memory) checkpoint.Scheme
-	if c.cfg.Scheme != SchemeNone {
-		newScheme = c.newScheme
-	}
-	p, err := c.kern.Spawn(oslite.SpawnConfig{Name: name, Prog: prog, NewScheme: newScheme})
+	p, err := c.spawn(slot, name, prog)
 	if err != nil {
 		return nil, err
 	}
-	c.armTamperer(slot, p.Ckpt)
-	c.instrumentCkpt(slot, p)
 	st := &c.slots[slot]
 	st.procs = append(st.procs, p)
 	st.ports = append(st.ports, port)
@@ -558,11 +552,8 @@ func (c *Chip) LaunchService(slot int, name string, prog *asm.Program, port *net
 	st.progs = append(st.progs, prog)
 	st.names = append(st.names, name)
 
-	// The OS process manager posts the application's code identity to
-	// the resurrector at load time (Section 3.2.2), and on a backed fs
-	// the binary lands on disk sectors (the image RespawnFromDisk
-	// reloads).
-	c.registerApp(name, prog, p)
+	// On a backed fs the binary lands on disk sectors (the image
+	// RespawnFromDisk reloads).
 	if c.kern.FS().Backed() {
 		c.kern.WriteFile("bin/"+name, prog.Text)
 	}
@@ -571,12 +562,41 @@ func (c *Chip) LaunchService(slot int, name string, prog *asm.Program, port *net
 	// launches join the slot's round-robin schedule and are installed
 	// by the OS context switch.
 	if len(st.procs) == 1 {
-		core := c.cores[slot]
-		core.SetProcess(p.PID, p.AS)
-		core.Restore(st.ctxs[0], false)
-		core.SetHalted(false)
+		c.install(slot, 0, false)
 	}
 	return p, nil
+}
+
+// spawn is the sequence every service process starts with — at launch,
+// on reboot recovery and on a respawn from disk: spawn prog with the
+// configured backup scheme, post its code identity to the resurrector
+// (the OS process manager does so at load time, Section 3.2.2), and
+// wire the fault injector and metrics into its checkpoint engine.
+func (c *Chip) spawn(slot int, name string, prog *asm.Program) (*oslite.Process, error) {
+	var newScheme func(checkpoint.Memory) checkpoint.Scheme
+	if c.cfg.Scheme != SchemeNone {
+		newScheme = c.newScheme
+	}
+	p, err := c.kern.Spawn(oslite.SpawnConfig{Name: name, Prog: prog, NewScheme: newScheme})
+	if err != nil {
+		return nil, err
+	}
+	c.registerApp(name, prog, p)
+	c.armTamperer(slot, p.Ckpt)
+	c.instrumentCkpt(slot, p)
+	return p, nil
+}
+
+// install puts process i of slot on the slot's core at its saved
+// context and wakes the core. flush also empties the core's caches,
+// TLBs, CAM and predictor, for a fresh image replacing a process.
+func (c *Chip) install(slot, i int, flush bool) {
+	st := &c.slots[slot]
+	p := st.procs[i]
+	core := c.cores[slot]
+	core.SetProcess(p.PID, p.AS)
+	core.Restore(st.ctxs[i], flush)
+	core.SetHalted(false)
 }
 
 // registerApp posts a service's code identity to the resurrector.
@@ -607,26 +627,15 @@ func (c *Chip) registerApp(name string, prog *asm.Program, p *oslite.Process) {
 func (c *Chip) rebootSlot(idx int) error {
 	st := &c.slots[idx]
 	i := st.active
-	var newScheme func(checkpoint.Memory) checkpoint.Scheme
-	if c.cfg.Scheme != SchemeNone {
-		newScheme = c.newScheme
-	}
-	p, err := c.kern.Spawn(oslite.SpawnConfig{
-		Name: st.names[i], Prog: st.progs[i], NewScheme: newScheme,
-	})
+	p, err := c.spawn(idx, st.names[i], st.progs[i])
 	if err != nil {
 		return err
 	}
 	st.procs[i] = p
 	st.ctxs[i] = c.kern.InitialContext(p)
-	c.registerApp(st.names[i], st.progs[i], p)
-	c.armTamperer(idx, p.Ckpt)
-	c.instrumentCkpt(idx, p)
+	c.install(idx, i, true)
 
 	core := c.cores[idx]
-	core.SetProcess(p.PID, p.AS)
-	core.Restore(st.ctxs[i], true)
-	core.SetHalted(false)
 	cycles := c.cfg.RebootCycles
 	if cycles == 0 {
 		cycles = 5_000_000
@@ -653,10 +662,7 @@ func (c *Chip) switchProcess(idx int) bool {
 	core := c.cores[idx]
 	st.ctxs[st.active] = core.Context()
 	st.active = next
-	p := st.procs[next]
-	core.SetProcess(p.PID, p.AS)
-	core.Restore(st.ctxs[next], false)
-	core.SetHalted(false)
+	c.install(idx, next, false)
 	core.AddCycles(ContextSwitchCycles)
 	st.switchReq = false
 	c.refreshBudgetAt(idx)
@@ -814,25 +820,14 @@ func (c *Chip) RespawnFromDisk(slot int) error {
 	}
 	prog := *st.progs[i]
 	prog.Text = data
-	var newScheme func(checkpoint.Memory) checkpoint.Scheme
-	if c.cfg.Scheme != SchemeNone {
-		newScheme = c.newScheme
-	}
-	p, err := c.kern.Spawn(oslite.SpawnConfig{Name: st.names[i], Prog: &prog, NewScheme: newScheme})
+	p, err := c.spawn(slot, st.names[i], &prog)
 	if err != nil {
 		return err
 	}
 	st.procs[i] = p
 	st.ctxs[i] = c.kern.InitialContext(p)
 	st.progs[i] = &prog
-	c.registerApp(st.names[i], &prog, p)
-	c.armTamperer(slot, p.Ckpt)
-	c.instrumentCkpt(slot, p)
-
-	core := c.cores[slot]
-	core.SetProcess(p.PID, p.AS)
-	core.Restore(st.ctxs[i], true)
-	core.SetHalted(false)
+	c.install(slot, i, true)
 	return nil
 }
 

@@ -126,7 +126,10 @@ func (c *Core) RunBlocks(budget uint64) (uint64, error) {
 				// PC or armed a request budget: yield.
 				return n, nil
 			}
-			if (a.Op.IsLoad() || a.Op.IsStore()) && pg.version != c.phys.PageVersion(pagePA) {
+			// Loads and stores are the contiguous opcodes OpLw..OpSb,
+			// so one unsigned compare tests IsLoad() || IsStore()
+			// (internal/isa's TestLoadStoreRange pins the order).
+			if a.Op-isa.OpLw <= isa.OpSb-isa.OpLw && pg.version != c.phys.PageVersion(pagePA) {
 				// A store into this very code page, or a load whose
 				// checkpoint hook restored one of its lines: everything
 				// decoded on it is stale. Take the page again.

@@ -141,3 +141,15 @@ func TestOpStrings(t *testing.T) {
 		t.Error("unknown opcode should format numerically")
 	}
 }
+
+// TestLoadStoreRange pins the opcode order the block executor relies
+// on: internal/cpu tests a memory access with the one unsigned compare
+// op-OpLw <= OpSb-OpLw, which holds only while the loads and stores
+// are exactly the contiguous opcodes OpLw..OpSb.
+func TestLoadStoreRange(t *testing.T) {
+	for op := OpNop; op < opMax; op++ {
+		if got, want := op-OpLw <= OpSb-OpLw, op.IsLoad() || op.IsStore(); got != want {
+			t.Errorf("%v: range compare = %v, IsLoad() || IsStore() = %v", op, got, want)
+		}
+	}
+}

@@ -77,17 +77,7 @@ func (c *resultCache) do(ctx context.Context, key string, fn func() (string, err
 		}
 	}
 	e := &cacheEntry{done: make(chan struct{})}
-	if len(sh.m) >= c.perShard {
-		for k, old := range sh.m {
-			select {
-			case <-old.done: // evict an arbitrary completed entry
-				delete(sh.m, k)
-			default: // in-flight: keep, try another
-				continue
-			}
-			break
-		}
-	}
+	c.makeRoom(sh)
 	sh.m[key] = e
 	c.misses.Inc()
 	sh.mu.Unlock()
@@ -115,21 +105,27 @@ func (c *resultCache) fill(key, out string) bool {
 	if _, ok := sh.m[key]; ok {
 		return false
 	}
-	if len(sh.m) >= c.perShard {
-		for k, old := range sh.m {
-			select {
-			case <-old.done: // evict an arbitrary completed entry
-				delete(sh.m, k)
-			default: // in-flight: keep, try another
-				continue
-			}
-			break
-		}
-	}
+	c.makeRoom(sh)
 	e := &cacheEntry{done: make(chan struct{}), out: out}
 	close(e.done)
 	sh.m[key] = e
 	return true
+}
+
+// makeRoom evicts one completed entry from sh when it is full (see
+// perShard). The caller holds sh.mu.
+func (c *resultCache) makeRoom(sh *cacheShard) {
+	if len(sh.m) < c.perShard {
+		return
+	}
+	for k, old := range sh.m {
+		select {
+		case <-old.done:
+			delete(sh.m, k)
+			return
+		default: // in-flight: keep, try another
+		}
+	}
 }
 
 // run executes fn, converting a panic into an error so a crashing

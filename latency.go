@@ -46,16 +46,11 @@ func DetectionLatency(o ExpOptions) (*LatencyResult, error) {
 	outs, err := parallel.Run(o.pool(), attack.Kinds(), func(_ int, kind attack.Kind) (out, error) {
 		cfg := chip.DefaultConfig()
 		cfg.Recovery.InstrBudget = 1_000_000
-		run, err := RunService(service, Options{
-			Chip:        &cfg,
-			Requests:    3,
-			Scale:       o.Scale,
-			Seed:        o.Seed,
-			Attacks:     []attack.Kind{kind},
-			AttackAfter: 2,
-			RunLoop:     o.RunLoop,
-			Warm:        o.Warm,
-		})
+		opts := o.runOpts(cfg)
+		opts.Requests = 3
+		opts.Attacks = []attack.Kind{kind}
+		opts.AttackAfter = 2
+		run, err := RunService(service, opts)
 		if err != nil {
 			return out{}, err
 		}
