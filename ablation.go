@@ -243,12 +243,12 @@ func AblationRollback(o ExpOptions) (*AblationRollbackResult, error) {
 
 	run := func(eager bool) (uint64, uint64, error) {
 		cfg := chip.DefaultConfig()
-		cfg.EagerRollback = eager
+		cfg.Recovery.EagerRollback = eager
 		b, err := bootChip(cfg, []string{service}, o.Scale)
 		if err != nil {
 			return 0, 0, err
 		}
-		ch, _, result, err := b.run(o.RunLoop, rollbackEveryOther(b.params[0].GenRequests(o.Requests, o.Seed)), 0)
+		ch, result, err := b.run(o.RunLoop, rollbackEveryOther(b.params[0].GenRequests(o.Requests, o.Seed)), 0)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -361,8 +361,8 @@ func AblationResurrectors(o ExpOptions) (*AblationResurrectorsResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		for slot, port := range b.ports {
-			port.Enqueue(b.params[slot].GenRequests(o.Requests, o.Seed+uint32(slot))...)
+		for slot, params := range b.params {
+			b.ch.ActivePort(slot).Enqueue(params.GenRequests(o.Requests, o.Seed+uint32(slot))...)
 		}
 		_, res, err := o.RunLoop.drive(b.ch, 0)
 		if err != nil {

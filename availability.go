@@ -57,7 +57,7 @@ func Availability(o ExpOptions) (*AvailabilityResult, error) {
 		if err != nil {
 			return AvailabilityRow{}, err
 		}
-		smash, err := attack.NewStackSmash(b.progs[0])
+		smash, err := attack.NewStackSmash(b.ch.Process(0).Prog)
 		if err != nil {
 			return AvailabilityRow{}, err
 		}
@@ -67,12 +67,12 @@ func Availability(o ExpOptions) (*AvailabilityResult, error) {
 			a.Payload = append([]byte(nil), smash.Payload...)
 			stream = append(stream, a, rq) // attack, legit, attack, legit...
 		}
-		_, port, result, err := b.run(o.RunLoop, stream, 0)
+		ch, result, err := b.run(o.RunLoop, stream, 0)
 		if err != nil {
 			return AvailabilityRow{}, err
 		}
 		served, total := 0, 0
-		for _, r := range port.Records() {
+		for _, r := range ch.ActivePort(0).Records() {
 			if r.Label != "legit" {
 				continue
 			}

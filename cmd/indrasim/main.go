@@ -309,32 +309,11 @@ type snapshotter struct {
 // harness proves segmenting a run this way leaves output byte-identical
 // to one uninterrupted chip.Run call.
 func (s *snapshotter) loop(ch *chip.Chip, maxInstr uint64) (*chip.Chip, chip.RunResult, error) {
-	if maxInstr == 0 {
-		maxInstr = 1 << 62
-	}
-	var total chip.RunResult
-	var ran uint64
-	for {
-		step := s.every
-		if step > maxInstr-ran {
-			step = maxInstr - ran
-		}
-		res, err := ch.Run(step)
-		total.Instret += res.Instret
-		total.Cycles, total.Violations, total.Halted = res.Cycles, res.Violations, res.Halted
-		ran += res.Instret
-		if err == nil { // every service halted
-			s.checkpoint(ch)
-			return ch, total, nil
-		}
-		if !errors.Is(err, chip.ErrInstrLimit) {
-			return ch, total, err
-		}
+	res, err := ch.RunSegmented(0, maxInstr, s.every, func(uint64, bool) error {
 		s.checkpoint(ch)
-		if ran >= maxInstr {
-			return ch, total, err // genuine instruction-budget exhaustion
-		}
-	}
+		return nil
+	})
+	return ch, res, err
 }
 
 func (s *snapshotter) checkpoint(ch *chip.Chip) {
@@ -405,18 +384,12 @@ func resumeFromSnapshot(path string, snap *snapshotter, snapOut string, verbose 
 	if port == nil {
 		fatalf("-snapshot-in %s: snapshot holds no service on core 0", path)
 	}
-	name := "resumed"
-	if p := ch.Process(0); p != nil {
-		name = p.Name
-	}
+	name := ch.Process(0).Name
 	fmt.Printf("resumed %s from %s (%d bytes)\n", name, path, len(blob))
 
 	var res chip.RunResult
 	if snap != nil {
-		ch, res, err = snap.loop(ch, 0)
-		if p := ch.ActivePort(0); p != nil {
-			port = p
-		}
+		_, res, err = snap.loop(ch, 0)
 	} else {
 		res, err = ch.Run(0)
 	}

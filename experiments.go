@@ -600,11 +600,11 @@ func Fig16(o ExpOptions) (*Fig16Result, error) {
 			if err != nil {
 				return 0, err
 			}
-			_, port, _, err := b.run(o.RunLoop, rollbackEveryOther(b.params[0].GenRequests(o.Requests, o.Seed)), 0)
+			ch, _, err := b.run(o.RunLoop, rollbackEveryOther(b.params[0].GenRequests(o.Requests, o.Seed)), 0)
 			if err != nil {
 				return 0, err
 			}
-			return port.Summarize().MeanRT, nil
+			return ch.ActivePort(0).Summarize().MeanRT, nil
 		}
 	})
 	if err != nil {
@@ -787,11 +787,11 @@ func Table3(o ExpOptions) (*Table3Result, error) {
 		if err != nil {
 			return out{}, err
 		}
-		ch, port, _, err := b.run(o.RunLoop, rollbackEveryOther(b.params[0].GenRequests(o.Requests, o.Seed)), 0)
+		ch, _, err := b.run(o.RunLoop, rollbackEveryOther(b.params[0].GenRequests(o.Requests, o.Seed)), 0)
 		if err != nil {
 			return out{}, err
 		}
-		sum := port.Summarize()
+		sum := ch.ActivePort(0).Summarize()
 		ov := ch.Process(0).Ckpt.Overhead()
 		row := Table3Row{Scheme: sk.String()}
 		if sum.Served > 0 {

@@ -318,7 +318,8 @@ func TestMonitorRecordMixHelper(t *testing.T) {
 // cells that build their own request stream, and the fleet's node
 // rounds, run through RunLoop but stay unregistered. A chip that
 // stopped running through RunLoop, or a RunService cell that dropped
-// Obs, moves its experiment's pair.
+// Obs, moves its experiment's pair. No two of one experiment's
+// registered cells may share a key.
 func TestExperimentCellAccounting(t *testing.T) {
 	want := map[string][2]int{ // {chip runs, registered cells}
 		"table2":                {6, 6},
@@ -369,6 +370,17 @@ func TestExperimentCellAccounting(t *testing.T) {
 		}
 		if got := [2]int{int(runs.Load()), suite.Len()}; got != w {
 			t.Errorf("%s: runs/registered = %d/%d, want %d/%d", id, got[0], got[1], w[0], w[1])
+		}
+		sums, err := suite.Summaries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[string]bool, len(sums))
+		for _, c := range sums {
+			if seen[c.Key] {
+				t.Errorf("%s: two cells share the key %s", id, c.Key)
+			}
+			seen[c.Key] = true
 		}
 	}
 }

@@ -182,17 +182,13 @@ func runDeviceCell(o ExpOptions, scenario string, rate float64, seedBase uint64)
 	if err != nil {
 		return DeviceRow{}, err
 	}
-	ch, port, prog := b.ch, b.ports[0], b.progs[0]
-	port.Enqueue(b.params[0].GenRequests(o.Requests, o.Seed)...)
+	ch, prog := b.ch, b.ch.Process(0).Prog
+	ch.ActivePort(0).Enqueue(b.params[0].GenRequests(o.Requests, o.Seed)...)
 	dmaCore := cfg.Resurrectors // slot 0's core
 
 	row := DeviceRow{Scenario: scenario, Rate: rate}
 	aborted := func(label string) bool {
-		p := ch.ActivePort(0)
-		if p == nil {
-			p = port
-		}
-		for _, rec := range p.Records() {
+		for _, rec := range ch.ActivePort(0).Records() {
 			if rec.Label == label && rec.Outcome == netsim.Aborted {
 				return true
 			}
@@ -226,7 +222,7 @@ func runDeviceCell(o ExpOptions, scenario string, rate float64, seedBase uint64)
 		for i := 0; i < deviceFrameCopies; i++ {
 			ch.NIC().QueueFrame(ni.Frame)
 		}
-		port.Enqueue(ni.Trigger)
+		ch.ActivePort(0).Enqueue(ni.Trigger)
 		if err := drive(50_000_000); err != nil {
 			return DeviceRow{}, err
 		}
@@ -266,10 +262,7 @@ func runDeviceCell(o ExpOptions, scenario string, rate float64, seedBase uint64)
 		if err := ch.RespawnFromDisk(0); err != nil {
 			return DeviceRow{}, err
 		}
-		if p := ch.ActivePort(0); p != nil {
-			port = p
-		}
-		port.Enqueue(dt.Trigger)
+		ch.ActivePort(0).Enqueue(dt.Trigger)
 		if err := drive(25_000_000); err != nil {
 			return DeviceRow{}, err
 		}
@@ -339,7 +332,7 @@ func FaultSweep(o ExpOptions) (*FaultSweepResult, error) {
 		}
 		stream := b.params[0].GenRequests(o.Requests, o.Seed)
 		for _, class := range AttackClasses {
-			seq, err := attack.Sequence(class, b.progs[0])
+			seq, err := attack.Sequence(class, b.ch.Process(0).Prog)
 			if err != nil {
 				return FaultSweepRow{}, err
 			}
@@ -347,22 +340,23 @@ func FaultSweep(o ExpOptions) (*FaultSweepResult, error) {
 		}
 		// Cells are capped so a pathological fault pattern (e.g. a lost
 		// rollback bit leaving a service looping) still yields a row.
-		ch, port, res, err := b.run(o.RunLoop, stream, 50_000_000)
+		ch, res, err := b.run(o.RunLoop, stream, 50_000_000)
 		truncated := errors.Is(err, chip.ErrInstrLimit)
 		if err != nil && !truncated {
 			return FaultSweepRow{}, err
 		}
 
+		recs := ch.ActivePort(0).Records()
 		row := FaultSweepRow{
 			Service:        c.service,
 			Rate:           rate,
 			InjectedFaults: ch.FaultStats().TotalHits(),
 			Detections:     res.Violations,
-			AttacksStopped: stoppedClasses(port.Records()),
+			AttacksStopped: stoppedClasses(recs),
 			Degraded:       ch.Degraded(0),
 			Truncated:      truncated,
 		}
-		for _, rec := range port.Records() {
+		for _, rec := range recs {
 			if rec.Label != "legit" {
 				continue
 			}

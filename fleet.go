@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"indra/internal/asm"
 	"indra/internal/chip"
 	"indra/internal/fleet"
 	"indra/internal/netsim"
@@ -89,7 +88,7 @@ func FleetCell(o ExpOptions, campaign, policy string) (*fleet.Fleet, *WarmBooter
 	cfg.Recovery.InstrBudget = 1_000_000
 
 	booter := NewWarmBooter()
-	boot := func(node int) (*chip.Chip, []*netsim.Port, []*asm.Program, error) {
+	boot := func(node int) (*chip.Chip, error) {
 		ncfg := cfg
 		camp.Arm(node, &ncfg)
 		return booter.BootNode(names, o.Scale, ncfg)

@@ -23,6 +23,7 @@ package indra
 
 import (
 	"fmt"
+	"strings"
 
 	"indra/internal/asm"
 	"indra/internal/attack"
@@ -39,7 +40,9 @@ import (
 // default platform (Table 4, 32-entry FIFO and CAM, delta checkpoint,
 // monitoring on) with 8 legitimate requests at 1/10 workload scale.
 type Options struct {
-	// Chip overrides the platform configuration; nil uses defaults.
+	// Chip overrides the platform configuration; nil uses defaults. Its
+	// Obs sink and MetricsEvery cadence observe the run (a nil Obs keeps
+	// observation off and output byte-identical).
 	Chip *chip.Config
 	// Requests is the number of legitimate requests (default 8).
 	Requests int
@@ -54,26 +57,20 @@ type Options struct {
 	AttackAfter int
 	// MaxInstructions caps the run (0 = a generous default).
 	MaxInstructions uint64
-	// Obs receives the run's metrics and trace events (nil = observation
-	// off; the default obs.Nop sink keeps output byte-identical).
-	Obs obs.Sink
 	// ObsSuite, when non-nil, registers this run as one experiment cell:
 	// a fresh collector is created under a configuration-derived key.
-	// Takes precedence over Obs.
+	// Takes precedence over Chip.Obs.
 	ObsSuite *obs.Suite
-	// MetricsEvery snapshots the metrics registry every N executed
-	// instructions (0 = end-of-run snapshot only).
-	MetricsEvery uint64
 	// RunLoop, when non-nil, replaces the single chip.Run call that
 	// drives the booted chip to completion. It may return a different
 	// chip than it was given (one restored from a snapshot); the run's
 	// summary is then read from that chip's port. Observability sinks
 	// are not carried across a snapshot restore, so runs that attach
-	// Obs/ObsSuite should not also segment through snapshots.
+	// Chip.Obs/ObsSuite should not also segment through snapshots.
 	RunLoop RunLoopFunc
 	// Warm, when non-nil, boots the chip from the booter's cached
 	// post-boot snapshot instead of cold-booting (identical output,
-	// lower wall-clock cost). Ignored when Obs or ObsSuite is set:
+	// lower wall-clock cost). Ignored when Chip.Obs or ObsSuite is set:
 	// observability wiring cannot ride a snapshot.
 	Warm *WarmBooter
 }
@@ -133,21 +130,15 @@ func RunService(name string, opts Options) (*ServiceRun, error) {
 	// (and the isolated-chip runner) share one *chip.Config across runs,
 	// and each run needs its own per-cell sink.
 	cfg := *opts.Chip
-	if opts.MetricsEvery != 0 {
-		cfg.MetricsEvery = opts.MetricsEvery
-	}
-	if opts.Obs != nil {
-		cfg.Obs = opts.Obs
-	}
 
 	// Boot first (warm from a cached snapshot when possible, cold
 	// otherwise), then enqueue the request stream: the service only
 	// reads its port while running, so a post-launch chip with an empty
 	// port is a valid boot image for any stream.
 	var b *bootedChip
-	if opts.Warm != nil && opts.Obs == nil && opts.ObsSuite == nil {
+	if opts.Warm != nil && cfg.Obs == nil && opts.ObsSuite == nil {
 		b = &bootedChip{params: []workload.Params{params}}
-		b.ch, b.ports, b.progs, err = opts.Warm.BootNode([]string{name}, opts.Scale, cfg)
+		b.ch, err = opts.Warm.BootNode([]string{name}, opts.Scale, cfg)
 	} else {
 		if opts.ObsSuite != nil {
 			cfg.Obs = opts.ObsSuite.Cell(obsCellKey(name, opts, cfg))
@@ -157,7 +148,7 @@ func RunService(name string, opts Options) (*ServiceRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := b.progs[0]
+	prog := b.ch.Process(0).Prog
 
 	reqs := params.GenRequests(opts.Requests, opts.Seed)
 	if len(opts.Attacks) > 0 {
@@ -176,10 +167,11 @@ func RunService(name string, opts Options) (*ServiceRun, error) {
 		stream = append(stream, reqs[cut:]...)
 		reqs = stream
 	}
-	ch, port, res, err := b.run(opts.RunLoop, reqs, opts.MaxInstructions)
+	ch, res, err := b.run(opts.RunLoop, reqs, opts.MaxInstructions)
 	if err != nil {
 		return nil, fmt.Errorf("indra: %s run: %w", name, err)
 	}
+	port := ch.ActivePort(0)
 	return &ServiceRun{
 		Name:    name,
 		Params:  params,
@@ -204,19 +196,18 @@ func serviceParams(name string, scale float64) (workload.Params, error) {
 }
 
 // bootedChip is a booted chip, cold or restored: service i runs on
-// resurrectee slot i and waits on the empty ports[i].
+// resurrectee slot i, waits on an empty port, and generates its
+// requests from params[i].
 type bootedChip struct {
 	ch     *chip.Chip
-	ports  []*netsim.Port
 	params []workload.Params // scaled
-	progs  []*asm.Program
 }
 
 // bootChip is INDRA's asymmetric boot (Section 3.1.2) for every service
 // chip this package runs: chip.New brings up the resurrector and
 // programs the watchdog, then names[i], resolved and scaled once, is
 // launched on resurrectee slot i with an empty port. Callers enqueue
-// their request streams on the returned ports.
+// their request streams on the chip's ports.
 func bootChip(cfg chip.Config, names []string, scale float64) (*bootedChip, error) {
 	ch, err := chip.New(cfg)
 	if err != nil {
@@ -232,32 +223,20 @@ func bootChip(cfg chip.Config, names []string, scale float64) (*bootedChip, erro
 		if err != nil {
 			return nil, err
 		}
-		port := netsim.NewPort(nil)
-		if _, err := ch.LaunchService(i, name, prog, port); err != nil {
+		if _, err := ch.LaunchService(i, name, prog, netsim.NewPort(nil)); err != nil {
 			return nil, err
 		}
-		b.ports = append(b.ports, port)
 		b.params = append(b.params, params)
-		b.progs = append(b.progs, prog)
 	}
 	return b, nil
 }
 
 // run enqueues stream on slot 0's port and drives the chip through loop
 // for at most maxInstr instructions. It returns the chip that finished
-// the run — loop may hand back one restored from a snapshot — and slot
-// 0's port on it.
-func (b *bootedChip) run(loop RunLoopFunc, stream []netsim.Request, maxInstr uint64) (*chip.Chip, *netsim.Port, chip.RunResult, error) {
-	port := b.ports[0]
-	port.Enqueue(stream...)
-	ch, res, err := loop.drive(b.ch, maxInstr)
-	if ch == nil {
-		return b.ch, port, res, err
-	}
-	if p := ch.ActivePort(0); p != nil {
-		port = p
-	}
-	return ch, port, res, err
+// the run — loop may hand back one restored from a snapshot.
+func (b *bootedChip) run(loop RunLoopFunc, stream []netsim.Request, maxInstr uint64) (*chip.Chip, chip.RunResult, error) {
+	b.ch.ActivePort(0).Enqueue(stream...)
+	return loop.drive(b.ch, maxInstr)
 }
 
 // drive runs ch through l, or through a single ch.Run when l is nil.
@@ -285,15 +264,24 @@ func (r *ServiceRun) Process() *oslite.Process { return r.Chip.Process(0) }
 func DefaultChipConfig() chip.Config { return chip.DefaultConfig() }
 
 // obsCellKey derives a deterministic experiment-cell key from the
-// scalar knobs that distinguish cells within and across experiments.
-// Cells that agree on every listed knob (and therefore on their whole
+// knobs that distinguish cells within and across experiments: the
+// platform's, the request stream's and the attacks', in order. Cells
+// that agree on every listed knob (and therefore on their whole
 // simulation) may share a key; the suite disambiguates duplicates by
 // content, so the rendered output stays canonical either way.
 func obsCellKey(service string, o Options, cfg chip.Config) string {
+	pol := "all"
+	if p := cfg.MonitorPolicy; p != nil {
+		pol = fmt.Sprintf("cr:%t,co:%t,ct:%t", p.CallReturn, p.CodeOrigin, p.ControlTransfer)
+	}
+	kinds := make([]string, len(o.Attacks))
+	for i, k := range o.Attacks {
+		kinds[i] = string(k)
+	}
 	return fmt.Sprintf(
-		"%s/scheme=%s/mon=%t/fifo=%d/cam=%d/bpred=%d/line=%d/moncall=%d/eager=%t/reboot=%t/slots=%d/res=%d/req=%d/seed=%d/scale=%g/atk=%d",
-		service, cfg.Scheme, cfg.Monitoring, cfg.FIFOEntries, cfg.CAMSize, cfg.BPredEntries,
-		cfg.Checkpoint.LineBytes, cfg.MonitorCosts.Call, cfg.EagerRollback, cfg.RebootRecovery,
-		cfg.Resurrectees, cfg.Resurrectors,
-		o.Requests, o.Seed, o.Scale, len(o.Attacks))
+		"%s/scheme=%s/mon=%t/policy=%s/fifo=%d/cam=%d/bpred=%d/line=%d/moncall=%d/eager=%t/reboot=%t/budget=%d/slots=%d/res=%d/req=%d/seed=%d/scale=%g/atk=%s/after=%d",
+		service, cfg.Scheme, cfg.Monitoring, pol, cfg.FIFOEntries, cfg.CAMSize, cfg.BPredEntries,
+		cfg.Checkpoint.LineBytes, cfg.MonitorCosts.Call, cfg.Recovery.EagerRollback, cfg.RebootRecovery,
+		cfg.Recovery.InstrBudget, cfg.Resurrectees, cfg.Resurrectors,
+		o.Requests, o.Seed, o.Scale, strings.Join(kinds, ","), o.AttackAfter)
 }

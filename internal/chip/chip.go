@@ -98,19 +98,11 @@ type Config struct {
 	Scheme SchemeKind
 	// Recovery tunes the hybrid recovery policy.
 	Recovery recovery.Config
-	// EagerRollback switches recovery to synchronous line restoration
-	// (ablation of the paper's recovery-on-demand design).
-	EagerRollback bool
 	// RebootRecovery models the conventional alternative the paper
 	// argues against (Section 2.2): on failure the service process is
 	// restarted from its image. The restart costs RebootCycles of
 	// downtime during which RebootDrops queued requests are lost.
 	RebootRecovery bool
-	RebootCycles   uint64
-	RebootDrops    int
-	// DrainInterval is how often (in instructions) the co-simulation
-	// lets the monitor catch up outside of FIFO pushes.
-	DrainInterval uint64
 
 	// Faults arms the deterministic fault-injection layer with plans
 	// targeting the protection machinery itself (nil = fault-free; see
@@ -168,7 +160,6 @@ func DefaultConfig() Config {
 		Checkpoint:          checkpoint.DefaultConfig(),
 		Scheme:              SchemeDelta,
 		Recovery:            recovery.DefaultConfig(),
-		DrainInterval:       64,
 	}
 }
 
@@ -241,8 +232,6 @@ type slotState struct {
 	procs     []*oslite.Process
 	ports     []*netsim.Port
 	ctxs      []oslite.Context
-	progs     []*asm.Program
-	names     []string
 	active    int
 	switchReq bool
 
@@ -348,9 +337,7 @@ func New(cfg Config) (*Chip, error) {
 	// memory bus and banks.
 	c.dram = dram.New(cfg.Hierarchy.DRAMConfig)
 	c.bootSequence()
-	recCfg := cfg.Recovery
-	recCfg.EagerRollback = recCfg.EagerRollback || cfg.EagerRollback
-	c.rec = recovery.NewManager(recCfg, c.mon, c.lineCost)
+	c.rec = recovery.NewManager(cfg.Recovery, c.mon, c.lineCost)
 	for i := 0; i < cfg.Resurrectees; i++ {
 		c.queues[i] = fifo.New(cfg.FIFOEntries)
 		env := &coreEnv{chip: c, idx: i}
@@ -459,6 +446,17 @@ const FSBackingBaseSector = 1 << 20
 // loop gives pollable devices a turn while they have pending work.
 const DevicePollInterval = 64
 
+// DrainInterval is how often (in per-core instructions) the
+// co-simulation lets the monitor catch up outside of FIFO pushes.
+const DrainInterval = 64
+
+// RebootCycles is the downtime a reboot recovery charges, and
+// RebootDrops the queued requests lost during it (Config.RebootRecovery).
+const (
+	RebootCycles = 5_000_000
+	RebootDrops  = 2
+)
+
 // Boot returns the boot report.
 func (c *Chip) Boot() *BootReport { return &c.boot }
 
@@ -549,8 +547,6 @@ func (c *Chip) LaunchService(slot int, name string, prog *asm.Program, port *net
 	st.procs = append(st.procs, p)
 	st.ports = append(st.ports, port)
 	st.ctxs = append(st.ctxs, c.kern.InitialContext(p))
-	st.progs = append(st.progs, prog)
-	st.names = append(st.names, name)
 
 	// On a backed fs the binary lands on disk sectors (the image
 	// RespawnFromDisk reloads).
@@ -627,7 +623,8 @@ func (c *Chip) registerApp(name string, prog *asm.Program, p *oslite.Process) {
 func (c *Chip) rebootSlot(idx int) error {
 	st := &c.slots[idx]
 	i := st.active
-	p, err := c.spawn(idx, st.names[i], st.progs[i])
+	old := st.procs[i]
+	p, err := c.spawn(idx, old.Name, old.Prog)
 	if err != nil {
 		return err
 	}
@@ -636,16 +633,8 @@ func (c *Chip) rebootSlot(idx int) error {
 	c.install(idx, i, true)
 
 	core := c.cores[idx]
-	cycles := c.cfg.RebootCycles
-	if cycles == 0 {
-		cycles = 5_000_000
-	}
-	core.AddCycles(cycles)
-	drops := c.cfg.RebootDrops
-	if drops == 0 {
-		drops = 2
-	}
-	st.ports[i].DropNext(drops, core.Cycles())
+	core.AddCycles(RebootCycles)
+	st.ports[i].DropNext(RebootDrops, core.Cycles())
 	return nil
 }
 
@@ -814,19 +803,19 @@ func (c *Chip) RespawnFromDisk(slot int) error {
 		return fmt.Errorf("chip: slot %d has no service", slot)
 	}
 	i := st.active
-	data, ok := c.kern.ReadFile("bin/" + st.names[i])
+	old := st.procs[i]
+	data, ok := c.kern.ReadFile("bin/" + old.Name)
 	if !ok || len(data) == 0 {
-		return fmt.Errorf("chip: no binary bin/%s on the fs (unbacked fs?)", st.names[i])
+		return fmt.Errorf("chip: no binary bin/%s on the fs (unbacked fs?)", old.Name)
 	}
-	prog := *st.progs[i]
+	prog := *old.Prog
 	prog.Text = data
-	p, err := c.spawn(slot, st.names[i], &prog)
+	p, err := c.spawn(slot, old.Name, &prog)
 	if err != nil {
 		return err
 	}
 	st.procs[i] = p
 	st.ctxs[i] = c.kern.InitialContext(p)
-	st.progs[i] = &prog
 	c.install(slot, i, true)
 	return nil
 }

@@ -294,7 +294,7 @@ func (c *Chip) Run(maxInstr uint64) (RunResult, error) {
 			// The same point checks the resurrector's heartbeat: a record
 			// sitting unverified past the interval means the monitor
 			// stalled, and the chip escalates on the resurrectee's behalf.
-			if c.cfg.Monitoring && core.Instret()-c.lastDrain[idx] >= c.cfg.DrainInterval {
+			if c.cfg.Monitoring && core.Instret()-c.lastDrain[idx] >= DrainInterval {
 				c.drainUntil(idx, core.Cycles())
 				c.lastDrain[idx] = core.Instret()
 				if c.checkHeartbeat(idx, core.Cycles()) {
@@ -382,6 +382,38 @@ func (c *Chip) Run(maxInstr uint64) (RunResult, error) {
 	return res, nil
 }
 
+// RunSegmented drives the chip in segments of at most every
+// instructions until every service halts, Run fails with an error
+// other than ErrInstrLimit, or ran reaches maxInstr (0 = no cap). ran
+// counts the instructions executed before this call (a resumed run's
+// progress) and is included in the result's Instret; Cycles,
+// Violations and Halted come from the last segment, since they are
+// absolute chip state. after runs once per segment with the running
+// count, done set on the segment in which every service halted; an
+// error from it ends the run.
+func (c *Chip) RunSegmented(ran, maxInstr, every uint64, after func(ran uint64, done bool) error) (RunResult, error) {
+	if maxInstr == 0 {
+		maxInstr = 1 << 62
+	}
+	total := RunResult{Instret: ran}
+	for ran < maxInstr {
+		res, err := c.Run(min(every, maxInstr-ran))
+		total.Instret += res.Instret
+		total.Cycles, total.Violations, total.Halted = res.Cycles, res.Violations, res.Halted
+		ran += res.Instret
+		if err != nil && !errors.Is(err, ErrInstrLimit) {
+			return total, err
+		}
+		if aerr := after(ran, err == nil); aerr != nil {
+			return total, aerr
+		}
+		if err == nil {
+			return total, nil
+		}
+	}
+	return total, ErrInstrLimit
+}
+
 // visitBudget folds every post-step trigger of slot idx into one visit
 // budget: the visit must end at (or before) the first instruction
 // whose post-step check could fire. left is what remains of the Run's
@@ -402,7 +434,7 @@ func (c *Chip) visitBudget(idx int, left uint64, pollPending bool) uint64 {
 		}
 	}
 	if c.cfg.Monitoring {
-		until(instret-c.lastDrain[idx], c.cfg.DrainInterval)
+		until(instret-c.lastDrain[idx], DrainInterval)
 	}
 	if stop := c.budgetAt[idx]; stop != noBudget {
 		until(instret, stop)

@@ -3,7 +3,6 @@ package chip
 import (
 	"fmt"
 
-	"indra/internal/asm"
 	"indra/internal/checkpoint"
 	"indra/internal/checkpoint/baseline"
 	"indra/internal/monitor"
@@ -91,8 +90,6 @@ func (c *Chip) EncodeState(w *wire.Writer) {
 			w.Int(st.procs[j].PID)
 			st.ports[j].EncodeState(w)
 			encodeContext(w, st.ctxs[j])
-			st.progs[j].EncodeState(w)
-			w.String(st.names[j])
 		}
 		w.Int(st.active)
 		w.Bool(st.switchReq)
@@ -216,19 +213,15 @@ func (c *Chip) DecodeState(r *wire.Reader) {
 
 	for i := range c.slots {
 		st := &c.slots[i]
-		n := r.Len(8 + 4 + 17*4 + 4 + 4)
+		n := r.Len(8 + 4 + 17*4)
 		st.procs = st.procs[:0]
 		st.ports = st.ports[:0]
 		st.ctxs = st.ctxs[:0]
-		st.progs = st.progs[:0]
-		st.names = st.names[:0]
 		for j := 0; j < n; j++ {
 			pid := r.Int()
 			port := netsim.NewPort(nil)
 			port.DecodeState(r)
 			ctx := decodeContext(r)
-			prog := asm.DecodeProgram(r)
-			name := r.String()
 			if r.Err() != nil {
 				return
 			}
@@ -240,8 +233,6 @@ func (c *Chip) DecodeState(r *wire.Reader) {
 			st.procs = append(st.procs, p)
 			st.ports = append(st.ports, port)
 			st.ctxs = append(st.ctxs, ctx)
-			st.progs = append(st.progs, prog)
-			st.names = append(st.names, name)
 		}
 		st.active = r.Int()
 		st.switchReq = r.Bool()

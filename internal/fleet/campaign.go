@@ -70,7 +70,7 @@ func (w *worm) Strikes(f *Fleet, round int) ([]Strike, error) {
 			continue
 		}
 		if infect {
-			req, err := attack.NewFptrHijack(f.nodes[i].progs[w.service])
+			req, err := attack.NewFptrHijack(f.nodes[i].ch.Process(w.service).Prog)
 			if err != nil {
 				return nil, fmt.Errorf("worm: %w", err)
 			}

@@ -31,7 +31,6 @@ package fleet
 import (
 	"fmt"
 
-	"indra/internal/asm"
 	"indra/internal/chip"
 	"indra/internal/netsim"
 	"indra/internal/parallel"
@@ -42,7 +41,7 @@ import (
 // service (service s on resurrectee slot s) with empty ports. The
 // indra.WarmBooter's BootNode is the production implementation; tests
 // may cold-boot directly.
-type BootFunc func(node int) (*chip.Chip, []*netsim.Port, []*asm.Program, error)
+type BootFunc func(node int) (*chip.Chip, error)
 
 // Config assembles a fleet run.
 type Config struct {
@@ -73,9 +72,8 @@ type Config struct {
 	// Run, when non-nil, replaces the single ch.Run call that steps a
 	// node each round (the resume-equivalence harness substitutes a
 	// segmented snapshot→restore loop). It may return a different chip
-	// — one revived from a snapshot blob — which the node adopts,
-	// refreshing its port handles; the fleet's output must be
-	// byte-identical either way.
+	// — one revived from a snapshot blob — which the node adopts; the
+	// fleet's output must be byte-identical either way.
 	Run func(ch *chip.Chip, maxInstr uint64) (*chip.Chip, chip.RunResult, error)
 	// Workers bounds how many nodes step concurrently (0 = GOMAXPROCS,
 	// 1 = serial; output is identical either way).
@@ -85,13 +83,12 @@ type Config struct {
 }
 
 // node is one INDRA chip plus the controller's ground-truth view of it.
+// Service s's port and program are read from the chip's slot s.
 type node struct {
-	id    int
-	ch    *chip.Chip
-	ports []*netsim.Port
-	progs []*asm.Program
-	wake  []uint32 // request-loop entry PC per service
-	enq   []uint64 // per-service request ids handed out so far
+	id   int
+	ch   *chip.Chip
+	wake []uint32 // request-loop entry PC per service
+	enq  []uint64 // per-service request ids handed out so far
 
 	fatal error // unrecoverable chip fault: the node is dead
 	stuck int   // rounds that hit the per-round instruction cap
@@ -219,11 +216,11 @@ func New(cfg Config) (*Fleet, error) {
 	f.res.Nodes, f.res.Rounds = cfg.Nodes, cfg.Rounds
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &node{id: i}
-		ch, ports, progs, err := cfg.Boot(i)
+		ch, err := cfg.Boot(i)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: boot node %d: %w", i, err)
 		}
-		if err := f.install(n, ch, ports, progs); err != nil {
+		if err := f.install(n, ch); err != nil {
 			return nil, err
 		}
 		f.nodes = append(f.nodes, n)
@@ -232,20 +229,23 @@ func New(cfg Config) (*Fleet, error) {
 }
 
 // install points a node at a (fresh or restored) chip.
-func (f *Fleet) install(n *node, ch *chip.Chip, ports []*netsim.Port, progs []*asm.Program) error {
-	if len(ports) < len(f.cfg.Services) || len(progs) < len(f.cfg.Services) {
-		return fmt.Errorf("fleet: node %d booted with %d ports / %d progs for %d services",
-			n.id, len(ports), len(progs), len(f.cfg.Services))
+func (f *Fleet) install(n *node, ch *chip.Chip) error {
+	if ch.CoreCount() < len(f.cfg.Services) {
+		return fmt.Errorf("fleet: node %d booted with %d slots for %d services",
+			n.id, ch.CoreCount(), len(f.cfg.Services))
 	}
 	wake := make([]uint32, len(f.cfg.Services))
-	for s := range f.cfg.Services {
-		pc, ok := progs[s].Symbols["main_loop"]
+	for s, name := range f.cfg.Services {
+		if ch.ActivePort(s) == nil {
+			return fmt.Errorf("fleet: node %d booted without service %s on slot %d", n.id, name, s)
+		}
+		pc, ok := ch.Process(s).Prog.Symbols["main_loop"]
 		if !ok {
-			return fmt.Errorf("fleet: service %s image lacks the main_loop symbol", f.cfg.Services[s])
+			return fmt.Errorf("fleet: service %s image lacks the main_loop symbol", name)
 		}
 		wake[s] = pc
 	}
-	n.ch, n.ports, n.progs, n.wake = ch, ports, progs, wake
+	n.ch, n.wake = ch, wake
 	n.enq = make([]uint64, len(f.cfg.Services))
 	n.recBase = chipRecoveries(ch)
 	n.fatal = nil
@@ -295,7 +295,7 @@ func (f *Fleet) upNodesFor(s int) []int {
 func (f *Fleet) enqueue(n *node, s int, req netsim.Request) uint64 {
 	n.enq[s]++
 	id := n.enq[s]
-	n.ports[s].Enqueue(netsim.Request{
+	n.ch.ActivePort(s).Enqueue(netsim.Request{
 		ID:      id,
 		Payload: append([]byte(nil), req.Payload...),
 		Label:   req.Label,
@@ -398,16 +398,7 @@ func (f *Fleet) playRound(round int) error {
 		}
 		var err error
 		if f.cfg.Run != nil {
-			var ch *chip.Chip
-			ch, _, err = f.cfg.Run(n.ch, f.cfg.RoundInstr)
-			if ch != nil && ch != n.ch {
-				// The loop revived the node from a snapshot: adopt the
-				// new chip and re-resolve its port handles.
-				n.ch = ch
-				for s := range n.ports {
-					n.ports[s] = ch.ActivePort(s)
-				}
-			}
+			n.ch, _, err = f.cfg.Run(n.ch, f.cfg.RoundInstr)
 		} else {
 			_, err = n.ch.Run(f.cfg.RoundInstr)
 		}
@@ -425,7 +416,7 @@ func (f *Fleet) playRound(round int) error {
 	// corruption committed past the checkpoint).
 	for _, inf := range infects {
 		n := f.nodes[inf.node]
-		if rec, ok := n.ports[inf.service].Record(inf.id); ok && rec.Outcome == netsim.Served && !n.compromised {
+		if rec, ok := n.ch.ActivePort(inf.service).Record(inf.id); ok && rec.Outcome == netsim.Served && !n.compromised {
 			n.compromised = true
 			f.res.Infections++
 		}
@@ -482,7 +473,7 @@ func (f *Fleet) vote(lg logical) LogicalOutcome {
 	}
 	var ballots []ballot
 	for _, d := range lg.deliveries {
-		rec, ok := f.nodes[d.node].ports[lg.service].Record(d.id)
+		rec, ok := f.nodes[d.node].ch.ActivePort(lg.service).Record(d.id)
 		if !ok || rec.Outcome != netsim.Served {
 			continue // non-served replicas dissent from any winner below
 		}
@@ -530,14 +521,14 @@ func (f *Fleet) RebootNode(i int) error {
 		return fmt.Errorf("fleet: reboot of unknown node %d", i)
 	}
 	n := f.nodes[i]
-	for _, port := range n.ports {
-		f.res.DroppedInReboots += port.Remaining()
+	for s := range f.cfg.Services {
+		f.res.DroppedInReboots += n.ch.ActivePort(s).Remaining()
 	}
-	ch, ports, progs, err := f.cfg.Boot(i)
+	ch, err := f.cfg.Boot(i)
 	if err != nil {
 		return fmt.Errorf("fleet: reboot node %d: %w", i, err)
 	}
-	if err := f.install(n, ch, ports, progs); err != nil {
+	if err := f.install(n, ch); err != nil {
 		return err
 	}
 	n.compromised = false
@@ -559,14 +550,8 @@ func (f *Fleet) Revive(dst, src int) error {
 	if err != nil {
 		return fmt.Errorf("fleet: revive node %d from %d: %w", dst, src, err)
 	}
-	ports := make([]*netsim.Port, len(f.cfg.Services))
-	for s := range f.cfg.Services {
-		if ports[s] = ch.ActivePort(s); ports[s] == nil {
-			return fmt.Errorf("fleet: revive node %d: clone lost port %d", dst, s)
-		}
-	}
 	n := f.nodes[dst]
-	if err := f.install(n, ch, ports, from.progs); err != nil {
+	if err := f.install(n, ch); err != nil {
 		return err
 	}
 	copy(n.enq, from.enq)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"indra/internal/asm"
 	"indra/internal/chip"
 	"indra/internal/netsim"
 	"indra/internal/watchdog"
@@ -22,20 +21,19 @@ func testBoot(t *testing.T, camp Campaign) BootFunc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func(node int) (*chip.Chip, []*netsim.Port, []*asm.Program, error) {
+	return func(node int) (*chip.Chip, error) {
 		cfg := chip.DefaultConfig()
 		if camp != nil {
 			camp.Arm(node, &cfg)
 		}
 		ch, err := chip.New(cfg)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		port := netsim.NewPort(nil)
-		if _, err := ch.LaunchService(0, "httpd", prog, port); err != nil {
-			return nil, nil, nil, err
+		if _, err := ch.LaunchService(0, "httpd", prog, netsim.NewPort(nil)); err != nil {
+			return nil, err
 		}
-		return ch, []*netsim.Port{port}, []*asm.Program{prog}, nil
+		return ch, nil
 	}
 }
 

@@ -34,7 +34,7 @@ import (
 // Version is the format version this build writes and the only one it
 // reads. Bump on any wire-layout change; there is no cross-version
 // migration — a snapshot is a resumable moment, not an archive format.
-const Version = 2
+const Version = 3
 
 var magic = []byte("INDRSNAP")
 
@@ -165,11 +165,7 @@ func encodeConfig(w *wire.Writer, cfg chip.Config) {
 	w.Bool(cfg.Recovery.EagerRollback)
 	w.U64(cfg.Recovery.RetryBackoffCycles)
 	w.U64(cfg.Recovery.RetryBackoffCap)
-	w.Bool(cfg.EagerRollback)
 	w.Bool(cfg.RebootRecovery)
-	w.U64(cfg.RebootCycles)
-	w.Int(cfg.RebootDrops)
-	w.U64(cfg.DrainInterval)
 	w.Len(len(cfg.Faults))
 	for _, p := range cfg.Faults {
 		w.U8(uint8(p.Site))
@@ -225,11 +221,7 @@ func decodeConfig(r *wire.Reader) chip.Config {
 	cfg.Recovery.EagerRollback = r.Bool()
 	cfg.Recovery.RetryBackoffCycles = r.U64()
 	cfg.Recovery.RetryBackoffCap = r.U64()
-	cfg.EagerRollback = r.Bool()
 	cfg.RebootRecovery = r.Bool()
-	cfg.RebootCycles = r.U64()
-	cfg.RebootDrops = r.Int()
-	cfg.DrainInterval = r.U64()
 	n := r.Len(1 + 8*5)
 	for i := 0; i < n; i++ {
 		var p faultinject.Plan
@@ -270,7 +262,6 @@ func decodeConfig(r *wire.Reader) chip.Config {
 	limit("FIFOEntries", cfg.FIFOEntries, 1<<16)
 	limit("CAMSize", cfg.CAMSize, 1<<16)
 	limit("BPredEntries", cfg.BPredEntries, 1<<20)
-	limit("RebootDrops", cfg.RebootDrops, 1<<20)
 	limit("Recovery.MacroPeriod", cfg.Recovery.MacroPeriod, 1<<20)
 	limit("Recovery.ConsecutiveFailLimit", cfg.Recovery.ConsecutiveFailLimit, 1<<20)
 	limit("DRAM.Banks", cfg.Hierarchy.DRAMConfig.Banks, 1<<12)

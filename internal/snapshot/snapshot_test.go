@@ -206,6 +206,41 @@ func TestRestoredChipFinishesIdentically(t *testing.T) {
 	}
 }
 
+// TestSnapshotStoresEachImageOnce pins where a post-boot snapshot
+// keeps each service's program image: the text twice (the kernel's
+// process record and the fs file bin/<name>) and the data once (the
+// process record). Memory pages and disk sectors are framed per page
+// and per sector, so a whole image never matches inside them.
+func TestSnapshotStoresEachImageOnce(t *testing.T) {
+	for _, services := range [][]string{{"httpd"}, {"imap", "httpd"}} {
+		cfg := chip.DefaultConfig()
+		cfg.Resurrectees = len(services)
+		ch, err := chip.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for slot, name := range services {
+			prog, err := workload.MustByName(name).BuildProgram()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ch.LaunchService(slot, name, prog, netsim.NewPort(nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		blob := Save(ch)
+		for slot, name := range services {
+			prog := ch.Process(slot).Prog
+			if n := bytes.Count(blob, prog.Text); n != 2 {
+				t.Errorf("%v: %s text stored %d times, want 2", services, name, n)
+			}
+			if n := bytes.Count(blob, prog.Data); n != 1 {
+				t.Errorf("%v: %s data stored %d times, want 1", services, name, n)
+			}
+		}
+	}
+}
+
 func TestLoadRejectsBadMagic(t *testing.T) {
 	ch, err := chip.New(chip.DefaultConfig())
 	if err != nil {

@@ -106,7 +106,10 @@ func TestTraceDeterminism(t *testing.T) {
 	capture := func() (trace, metrics []byte) {
 		col := obs.NewCollector()
 		col.EnableTracing()
-		if _, err := RunService("httpd", Options{Requests: 4, Obs: col, MetricsEvery: 250_000}); err != nil {
+		cfg := chip.DefaultConfig()
+		cfg.Obs = col
+		cfg.MetricsEvery = 250_000
+		if _, err := RunService("httpd", Options{Requests: 4, Chip: &cfg}); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -159,7 +162,10 @@ func TestMetricsEverySnapshots(t *testing.T) {
 		t.Skip("service run is not short")
 	}
 	col := obs.NewCollector()
-	if _, err := RunService("httpd", Options{Requests: 4, Obs: col, MetricsEvery: 200_000}); err != nil {
+	cfg := chip.DefaultConfig()
+	cfg.Obs = col
+	cfg.MetricsEvery = 200_000
+	if _, err := RunService("httpd", Options{Requests: 4, Chip: &cfg}); err != nil {
 		t.Fatal(err)
 	}
 	snaps := col.Snapshots()

@@ -64,9 +64,6 @@ const resumeMagic = "INDRRES1"
 
 // RunLoop is the ExpOptions.RunLoop implementation.
 func (r *Resumer) RunLoop(ch *chip.Chip, maxInstr uint64) (*chip.Chip, chip.RunResult, error) {
-	if maxInstr == 0 {
-		maxInstr = 1 << 62
-	}
 	every := r.Every
 	if every == 0 {
 		every = 2_000_000
@@ -76,12 +73,10 @@ func (r *Resumer) RunLoop(ch *chip.Chip, maxInstr uint64) (*chip.Chip, chip.RunR
 	sum := sha256.Sum256(entry)
 	path := filepath.Join(r.Dir, fmt.Sprintf("%x.resume", sum[:12]))
 
-	var total chip.RunResult
 	var ran uint64
 	if blob, err := os.ReadFile(path); err == nil {
 		if prior, restored, err := decodeResume(blob); err == nil {
 			ch, ran = restored, prior
-			total.Instret = prior
 			r.resumed.Add(1)
 		}
 		// An undecodable progress file (torn write, version skew) is not
@@ -89,33 +84,18 @@ func (r *Resumer) RunLoop(ch *chip.Chip, maxInstr uint64) (*chip.Chip, chip.RunR
 		// run restarts from zero and overwrites the file.
 	}
 
-	for {
-		if ran >= maxInstr {
-			return ch, total, chip.ErrInstrLimit
-		}
-		step := every
-		if step > maxInstr-ran {
-			step = maxInstr - ran
-		}
-		res, err := ch.Run(step)
-		total.Instret += res.Instret
-		total.Cycles, total.Violations, total.Halted = res.Cycles, res.Violations, res.Halted
-		ran += res.Instret
-		if err == nil { // every service halted: run complete
+	total, err := ch.RunSegmented(ran, maxInstr, every, func(ran uint64, done bool) error {
+		if done { // every service halted: run complete
 			os.Remove(path)
-			return ch, total, nil
+			return nil
 		}
-		if !errors.Is(err, chip.ErrInstrLimit) {
-			return ch, total, err
-		}
-		if werr := writeResume(path, ran, snapshot.Save(ch)); werr != nil {
-			return ch, total, fmt.Errorf("indra: resume progress: %w", werr)
+		if err := writeResume(path, ran, snapshot.Save(ch)); err != nil {
+			return fmt.Errorf("indra: resume progress: %w", err)
 		}
 		r.saved.Add(1)
-		if ran >= maxInstr {
-			return ch, total, err // genuine instruction-budget exhaustion
-		}
-	}
+		return nil
+	})
+	return ch, total, err
 }
 
 // writeResume persists atomically (tmp + rename): a crash mid-write

@@ -7,9 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"indra/internal/asm"
 	"indra/internal/chip"
-	"indra/internal/netsim"
 	"indra/internal/snapshot"
 )
 
@@ -31,7 +29,7 @@ import (
 // NewWarmBooter.
 type WarmBooter struct {
 	mu      sync.Mutex
-	entries map[string]warmEntry
+	entries map[string][]byte // platform key -> post-boot snapshot
 
 	hits, misses, fallbacks atomic.Uint64
 
@@ -39,11 +37,6 @@ type WarmBooter struct {
 	// events (the serve layer wires its metrics counters here). Set
 	// them before the first boot; they may be called concurrently.
 	OnHit, OnMiss, OnFallback func()
-}
-
-type warmEntry struct {
-	progs []*asm.Program // one per launched slot
-	blob  []byte
 }
 
 // warmEntryCap bounds the cache. The experiment registry needs on the
@@ -54,7 +47,7 @@ const warmEntryCap = 256
 
 // NewWarmBooter creates an empty warm-boot cache.
 func NewWarmBooter() *WarmBooter {
-	return &WarmBooter{entries: make(map[string]warmEntry)}
+	return &WarmBooter{entries: make(map[string][]byte)}
 }
 
 // WarmBootStats counts cache outcomes.
@@ -87,8 +80,8 @@ func (w *WarmBooter) Entries() int {
 func (w *WarmBooter) CorruptForTest() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for k, e := range w.entries {
-		w.entries[k] = warmEntry{progs: e.progs, blob: append([]byte(nil), e.blob[:len(e.blob)/2]...)}
+	for k, blob := range w.entries {
+		w.entries[k] = append([]byte(nil), blob[:len(blob)/2]...)
 	}
 	return len(w.entries)
 }
@@ -99,44 +92,37 @@ func (w *WarmBooter) CorruptForTest() int {
 // one service through it, and it is the fleet layer's node factory: a
 // fleet of M identical nodes costs one cold boot plus M-1 warm stamps,
 // and every proactive-rejuvenation reboot after the first cycle is a
-// warm stamp too. The returned ports are empty; the caller routes its
+// warm stamp too. The chip's ports are empty; the caller routes its
 // request streams onto them.
-func (w *WarmBooter) BootNode(names []string, scale float64, cfg chip.Config) (*chip.Chip, []*netsim.Port, []*asm.Program, error) {
+func (w *WarmBooter) BootNode(names []string, scale float64, cfg chip.Config) (*chip.Chip, error) {
 	if len(names) == 0 {
-		return nil, nil, nil, fmt.Errorf("indra: BootNode needs at least one service")
+		return nil, fmt.Errorf("indra: BootNode needs at least one service")
 	}
 	if cfg.Resurrectees < len(names) {
-		return nil, nil, nil, fmt.Errorf("indra: BootNode: %d services need %d resurrectee slots, config has %d",
+		return nil, fmt.Errorf("indra: BootNode: %d services need %d resurrectee slots, config has %d",
 			len(names), len(names), cfg.Resurrectees)
 	}
 	// The config's canonical wire encoding covers every
 	// output-determining platform knob.
 	key := fmt.Sprintf("%s|%g|%s", strings.Join(names, ","), scale, snapshot.ConfigBytes(cfg))
 	w.mu.Lock()
-	e, ok := w.entries[key]
+	blob, ok := w.entries[key]
 	w.mu.Unlock()
 
 	if ok {
-		ch, err := snapshot.Load(e.blob)
-		if err == nil {
-			ports := make([]*netsim.Port, len(names))
-			good := true
-			for i := range names {
-				if ports[i] = ch.ActivePort(i); ports[i] == nil {
-					good = false
-					break
-				}
-			}
-			if good {
-				w.hits.Add(1)
-				if w.OnHit != nil {
-					w.OnHit()
-				}
-				return ch, ports, e.progs, nil
-			}
-			err = fmt.Errorf("indra: warm node snapshot restored without all %d ports", len(names))
+		ch, err := snapshot.Load(blob)
+		good := err == nil
+		for i := 0; good && i < len(names); i++ {
+			good = ch.ActivePort(i) != nil
 		}
-		_ = err // the fallback below overwrites the bad entry
+		if good {
+			w.hits.Add(1)
+			if w.OnHit != nil {
+				w.OnHit()
+			}
+			return ch, nil
+		}
+		// The fallback below overwrites the bad entry.
 		w.fallbacks.Add(1)
 		if w.OnFallback != nil {
 			w.OnFallback()
@@ -150,17 +136,17 @@ func (w *WarmBooter) BootNode(names []string, scale float64, cfg chip.Config) (*
 
 	b, err := bootChip(cfg, names, scale)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	// The cache keeps its blobs for the process's life: clone each to
 	// its length, since Save's buffer carries up to a quarter of slack
 	// from its last growth.
-	blob := bytes.Clone(snapshot.Save(b.ch))
+	blob = bytes.Clone(snapshot.Save(b.ch))
 	w.mu.Lock()
 	if len(w.entries) >= warmEntryCap {
-		w.entries = make(map[string]warmEntry)
+		w.entries = make(map[string][]byte)
 	}
-	w.entries[key] = warmEntry{progs: b.progs, blob: blob}
+	w.entries[key] = blob
 	w.mu.Unlock()
-	return b.ch, b.ports, b.progs, nil
+	return b.ch, nil
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"indra/internal/asm"
 	"indra/internal/attack"
 	"indra/internal/chip"
 	"indra/internal/netsim"
@@ -114,31 +113,31 @@ func TestWarmBootNode(t *testing.T) {
 	cfg := chip.DefaultConfig()
 	cfg.Resurrectees = len(names)
 
-	serve := func(ch *chip.Chip, ports []*netsim.Port, progs []*asm.Program) []netsim.Summary {
+	serve := func(ch *chip.Chip) []netsim.Summary {
 		t.Helper()
-		for s, port := range ports {
-			params := workload.MustByName(names[s])
-			port.Enqueue(params.GenRequests(2, 1)...)
-			if pc, ok := progs[s].Symbols["main_loop"]; ok {
+		for s, name := range names {
+			params := workload.MustByName(name)
+			ch.ActivePort(s).Enqueue(params.GenRequests(2, 1)...)
+			if pc, ok := ch.Process(s).Prog.Symbols["main_loop"]; ok {
 				ch.Wake(s, pc)
 			}
 		}
 		if _, err := ch.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		out := make([]netsim.Summary, len(ports))
-		for s, port := range ports {
-			out[s] = port.Summarize()
+		out := make([]netsim.Summary, len(names))
+		for s := range names {
+			out[s] = ch.ActivePort(s).Summarize()
 		}
 		return out
 	}
 
 	w := NewWarmBooter()
-	ch1, ports1, progs1, err := w.BootNode(names, 1.0, cfg)
+	ch1, err := w.BootNode(names, 1.0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch2, ports2, progs2, err := w.BootNode(names, 1.0, cfg)
+	ch2, err := w.BootNode(names, 1.0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +146,8 @@ func TestWarmBootNode(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 miss + 1 hit", st)
 	}
 
-	cold := serve(ch1, ports1, progs1)
-	warm := serve(ch2, ports2, progs2)
+	cold := serve(ch1)
+	warm := serve(ch2)
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatalf("warm node diverges from cold:\ncold %+v\nwarm %+v", cold, warm)
 	}
@@ -160,10 +159,10 @@ func TestWarmBootNode(t *testing.T) {
 
 	// Slot-count mismatches are rejected up front.
 	bad := chip.DefaultConfig() // 1 resurrectee
-	if _, _, _, err := w.BootNode(names, 1.0, bad); err == nil {
+	if _, err := w.BootNode(names, 1.0, bad); err == nil {
 		t.Fatal("BootNode accepted more services than slots")
 	}
-	if _, _, _, err := w.BootNode(nil, 1.0, cfg); err == nil {
+	if _, err := w.BootNode(nil, 1.0, cfg); err == nil {
 		t.Fatal("BootNode accepted an empty service list")
 	}
 }
