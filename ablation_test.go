@@ -1,6 +1,13 @@
 package indra
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"indra/internal/attack"
+	"indra/internal/chip"
+	"indra/internal/netsim"
+)
 
 var ablOpts = ExpOptions{Requests: 4}
 
@@ -158,6 +165,57 @@ func TestAvailabilityVsReboot(t *testing.T) {
 	}
 	if r.Format() == "" {
 		t.Fatal("format")
+	}
+}
+
+// TestRebootReapsReplacedProcess holds that a reboot retires the
+// process it replaces. On availability's reboot chip (bind, a stack
+// smash before each legit request; each reboot drops the next two
+// requests, so 1 and 5 legit requests mean 1 and 3 reboots), the kernel
+// keeps one pid and exactly the frames it held after boot. Availability
+// at Requests 300 reboots 150 times, which exhausted the frame region
+// while replaced processes kept their frames.
+func TestRebootReapsReplacedProcess(t *testing.T) {
+	for _, tc := range []struct{ legit, reboots int }{{1, 1}, {5, 3}} {
+		cfg := DefaultChipConfig()
+		cfg.Scheme = chip.SchemeNone
+		cfg.RebootRecovery = true
+		b, err := bootChip(cfg, []string{"bind"}, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		booted := b.ch.Kernel().Allocator().InUse()
+		smash, err := attack.NewStackSmash(b.ch.Process(0).Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stream []netsim.Request
+		for _, rq := range b.params[0].GenRequests(tc.legit, 1) {
+			a := smash
+			a.Payload = append([]byte(nil), smash.Payload...)
+			stream = append(stream, a, rq)
+		}
+		ch, _, err := b.run(nil, stream, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// PIDs count up from 100, one per image.
+		if pids := ch.Kernel().PIDs(); !reflect.DeepEqual(pids, []int{100 + tc.reboots}) {
+			t.Errorf("after %d reboots: pids %v, want [%d]", tc.reboots, pids, 100+tc.reboots)
+		}
+		if got := ch.Kernel().Allocator().InUse(); got != booted {
+			t.Errorf("after %d reboots: %d frames in use, want the %d held after boot", tc.reboots, got, booted)
+		}
+	}
+
+	r, err := Availability(ExpOptions{Requests: 300})
+	if err != nil {
+		t.Fatalf("availability at Requests 300: %v", err)
+	}
+	for _, row := range r.Rows {
+		if row.LegitTotal != 300 {
+			t.Errorf("%s: %d legit requests, want 300", row.Strategy, row.LegitTotal)
+		}
 	}
 }
 

@@ -153,7 +153,6 @@ func runSweepPhase(client *http.Client, n int, cf sweepFlags, lc loadConfig, req
 	srvCfg := serve.Config{Workers: *cf.workerConc, CellWorkers: 1}
 	if *cf.synthetic > 0 {
 		naplen := *cf.synthetic
-		srvCfg.DisableWarmBoot = true
 		srvCfg.Runner = func(k indra.CellKey) (string, error) {
 			time.Sleep(naplen)
 			return "synthetic " + k.String() + "\n", nil

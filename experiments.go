@@ -44,20 +44,20 @@ type ExpOptions struct {
 	// Meter, when non-nil, accumulates cell counts and wall/work time
 	// across experiments (the CLIs use it for the throughput summary).
 	Meter *parallel.Meter
-	// Obs, RunLoop and Warm follow one rule. Cells that run through
-	// RunService honour all three: each registers one metrics cell with
-	// Obs (keyed by cell configuration and rendered in canonical order,
-	// so the output is identical whatever the worker count), is driven
-	// by RunLoop, and boots from Warm's cached post-boot snapshot unless
-	// Obs is set. Cells that build their own request stream, and the
-	// fleet's nodes, honour RunLoop only: they boot cold and are not
-	// registered with Obs.
+	// Obs and RunLoop follow one rule. Cells that run through
+	// RunService honour both: each registers one metrics cell with Obs
+	// (keyed by cell configuration and rendered in canonical order, so
+	// the output is identical whatever the worker count) and is driven
+	// by RunLoop. Cells that build their own request stream, and the
+	// fleet's nodes, honour RunLoop only: they are not registered with
+	// Obs.
 	Obs *obs.Suite
 	// RunLoop, when non-nil, drives every chip in place of the single
 	// chip.Run call (see Options.RunLoop).
 	RunLoop RunLoopFunc
-	// Warm, when non-nil, is RunService cells' warm-boot cache (see
-	// Options.Warm).
+	// Warm is ignored: every chip cold-boots.
+	//
+	// Deprecated: leave it nil (see WarmBooter).
 	Warm *WarmBooter
 	// FleetPolicy restricts the fleet experiment to one recovery policy
 	// ("" runs all of FleetPolicies). Other experiments ignore it.
@@ -81,7 +81,7 @@ func (o ExpOptions) fill() ExpOptions {
 }
 
 func (o ExpOptions) runOpts(cfg chip.Config) Options {
-	return Options{Chip: &cfg, Requests: o.Requests, Scale: o.Scale, Seed: o.Seed, ObsSuite: o.Obs, RunLoop: o.RunLoop, Warm: o.Warm}
+	return Options{Chip: &cfg, Requests: o.Requests, Scale: o.Scale, Seed: o.Seed, ObsSuite: o.Obs, RunLoop: o.RunLoop}
 }
 
 // rollbackEveryOther follows each legitimate request with a late-crash

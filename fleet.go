@@ -8,6 +8,7 @@ import (
 	"indra/internal/fleet"
 	"indra/internal/netsim"
 	"indra/internal/parallel"
+	"indra/internal/snapshot"
 	"indra/internal/workload"
 )
 
@@ -60,11 +61,30 @@ func fleetCampaign(name string, seed uint32) (fleet.Campaign, error) {
 // stream per round.
 func fleetRounds(o ExpOptions) (rounds, batch int) { return 3 * o.Requests, 2 }
 
+// FleetBoots tallies one fleet cell's node boots — one per node, plus
+// every rejuvenation reboot — against the distinct node platforms they
+// brought up, keyed by the armed chip config's snapshot.ConfigBytes.
+type FleetBoots struct {
+	Total     int
+	Platforms int
+	seen      map[string]bool
+}
+
+// note counts one node boot on platform cfg.
+func (b *FleetBoots) note(cfg chip.Config) {
+	b.Total++
+	if key := string(snapshot.ConfigBytes(cfg)); !b.seen[key] {
+		b.seen[key] = true
+		b.Platforms++
+	}
+}
+
 // FleetCell assembles the fleet for one campaign x policy cell — every
-// node serving all six services, warm-stamped out of a per-cell
-// booter, streams cut from the experiment seed. Tests use it to replay
-// a cell and dump node snapshots; Fleet() runs it for every pairing.
-func FleetCell(o ExpOptions, campaign, policy string) (*fleet.Fleet, *WarmBooter, error) {
+// node serving all six services, cold-booted by bootChip, streams cut
+// from the experiment seed — and the tally its node boots fill as the
+// fleet runs. Tests use it to replay a cell and dump node snapshots;
+// Fleet() runs it for every pairing.
+func FleetCell(o ExpOptions, campaign, policy string) (*fleet.Fleet, *FleetBoots, error) {
 	o = o.fill()
 	nodes := o.FleetNodes
 	if nodes == 0 {
@@ -87,11 +107,17 @@ func FleetCell(o ExpOptions, campaign, policy string) (*fleet.Fleet, *WarmBooter
 	// Hang payloads must die by liveness budget well inside a round.
 	cfg.Recovery.InstrBudget = 1_000_000
 
-	booter := NewWarmBooter()
+	// The fleet boots nodes from its controller, never concurrently.
+	boots := &FleetBoots{seen: make(map[string]bool)}
 	boot := func(node int) (*chip.Chip, error) {
 		ncfg := cfg
 		camp.Arm(node, &ncfg)
-		return booter.BootNode(names, o.Scale, ncfg)
+		boots.note(ncfg)
+		b, err := bootChip(ncfg, names, o.Scale)
+		if err != nil {
+			return nil, err
+		}
+		return b.ch, nil
 	}
 
 	rounds, batch := fleetRounds(o)
@@ -119,7 +145,7 @@ func FleetCell(o ExpOptions, campaign, policy string) (*fleet.Fleet, *WarmBooter
 	if err != nil {
 		return nil, nil, err
 	}
-	return f, booter, nil
+	return f, boots, nil
 }
 
 // FleetRow is one campaign x policy cell's aggregate outcome.
@@ -127,10 +153,7 @@ type FleetRow struct {
 	Campaign string
 	Policy   string
 	Res      fleet.Result
-	// Warm is the cell's warm-boot cache tally: one miss per distinct
-	// node platform, everything else — including every rejuvenation
-	// reboot after the first cycle — a hit.
-	Warm WarmBootStats
+	Boots    FleetBoots
 }
 
 // FleetResult holds the full campaign x policy matrix.
@@ -161,7 +184,7 @@ func Fleet(o ExpOptions) (*FleetResult, error) {
 		}
 	}
 	rows, err := parallel.Run(o.pool(), cells, func(_ int, c spec) (FleetRow, error) {
-		f, booter, err := FleetCell(o, c.campaign, c.policy)
+		f, boots, err := FleetCell(o, c.campaign, c.policy)
 		if err != nil {
 			return FleetRow{}, err
 		}
@@ -169,7 +192,7 @@ func Fleet(o ExpOptions) (*FleetResult, error) {
 		if err != nil {
 			return FleetRow{}, err
 		}
-		return FleetRow{Campaign: c.campaign, Policy: c.policy, Res: *res, Warm: booter.Stats()}, nil
+		return FleetRow{Campaign: c.campaign, Policy: c.policy, Res: *res, Boots: *boots}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -182,7 +205,9 @@ func Fleet(o ExpOptions) (*FleetResult, error) {
 	return &FleetResult{Nodes: nodes, Rounds: rounds, Batch: batch, Rows: rows}, nil
 }
 
-// Format renders the experiment as text.
+// Format renders the experiment as text. The "warm h/m" column is each
+// cell's FleetBoots: boots that repeat a platform over distinct
+// platforms (the hit/miss split a per-platform boot cache would see).
 func (r *FleetResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fleet resilience: %d nodes x %d services, %d rounds x %d requests/stream\n",
@@ -196,7 +221,7 @@ func (r *FleetResult) Format() string {
 			res.Availability()*100, res.MTTR(),
 			res.Infections, res.ReinfectedRounds, res.Lost(),
 			res.Recoveries, res.Ejections, res.ChipRecoveries,
-			fmt.Sprintf("%d/%d", row.Warm.Hits, row.Warm.Misses))
+			fmt.Sprintf("%d/%d", row.Boots.Total-row.Boots.Platforms, row.Boots.Platforms))
 	}
 	return b.String()
 }

@@ -68,11 +68,6 @@ type Options struct {
 	// are not carried across a snapshot restore, so runs that attach
 	// Chip.Obs/ObsSuite should not also segment through snapshots.
 	RunLoop RunLoopFunc
-	// Warm, when non-nil, boots the chip from the booter's cached
-	// post-boot snapshot instead of cold-booting (identical output,
-	// lower wall-clock cost). Ignored when Chip.Obs or ObsSuite is set:
-	// observability wiring cannot ride a snapshot.
-	Warm *WarmBooter
 }
 
 // RunLoopFunc drives a booted chip until its services halt. It returns
@@ -121,34 +116,19 @@ type ServiceRun struct {
 // completion.
 func RunService(name string, opts Options) (*ServiceRun, error) {
 	opts = opts.withDefaults()
-	params, err := serviceParams(name, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
 
 	// The chip config is copied before observation is attached: callers
 	// (and the isolated-chip runner) share one *chip.Config across runs,
 	// and each run needs its own per-cell sink.
 	cfg := *opts.Chip
-
-	// Boot first (warm from a cached snapshot when possible, cold
-	// otherwise), then enqueue the request stream: the service only
-	// reads its port while running, so a post-launch chip with an empty
-	// port is a valid boot image for any stream.
-	var b *bootedChip
-	if opts.Warm != nil && cfg.Obs == nil && opts.ObsSuite == nil {
-		b = &bootedChip{params: []workload.Params{params}}
-		b.ch, err = opts.Warm.BootNode([]string{name}, opts.Scale, cfg)
-	} else {
-		if opts.ObsSuite != nil {
-			cfg.Obs = opts.ObsSuite.Cell(obsCellKey(name, opts, cfg))
-		}
-		b, err = bootChip(cfg, []string{name}, opts.Scale)
+	if opts.ObsSuite != nil {
+		cfg.Obs = opts.ObsSuite.Cell(obsCellKey(name, opts, cfg))
 	}
+	b, err := bootChip(cfg, []string{name}, opts.Scale)
 	if err != nil {
 		return nil, err
 	}
-	prog := b.ch.Process(0).Prog
+	params, prog := b.params[0], b.ch.Process(0).Prog
 
 	reqs := params.GenRequests(opts.Requests, opts.Seed)
 	if len(opts.Attacks) > 0 {
@@ -195,9 +175,8 @@ func serviceParams(name string, scale float64) (workload.Params, error) {
 	return params, nil
 }
 
-// bootedChip is a booted chip, cold or restored: service i runs on
-// resurrectee slot i, waits on an empty port, and generates its
-// requests from params[i].
+// bootedChip is a booted chip: service i runs on resurrectee slot i,
+// waits on an empty port, and generates its requests from params[i].
 type bootedChip struct {
 	ch     *chip.Chip
 	params []workload.Params // scaled

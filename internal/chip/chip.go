@@ -631,6 +631,7 @@ func (c *Chip) rebootSlot(idx int) error {
 	st.procs[i] = p
 	st.ctxs[i] = c.kern.InitialContext(p)
 	c.install(idx, i, true)
+	c.reap(old)
 
 	core := c.cores[idx]
 	core.AddCycles(RebootCycles)
@@ -817,7 +818,20 @@ func (c *Chip) RespawnFromDisk(slot int) error {
 	st.procs[i] = p
 	st.ctxs[i] = c.kern.InitialContext(p)
 	c.install(slot, i, true)
+	c.reap(old)
 	return nil
+}
+
+// reap retires a process that rebootSlot or RespawnFromDisk replaced,
+// once its successor is installed: the kernel drops it and frees its
+// frames, and the resurrector forgets its code identity, shadow stacks,
+// setjmp targets and recovery state. Freeing only after the successor
+// has spawned keeps the successor's own frames where a fresh boot puts
+// them; a later image reuses the freed ones.
+func (c *Chip) reap(old *oslite.Process) {
+	c.kern.Reap(old)
+	c.mon.Forget(old.PID)
+	c.rec.Forget(old.PID)
 }
 
 // Introspect reads n bytes of a resurrectee process's virtual memory

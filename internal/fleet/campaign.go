@@ -141,8 +141,8 @@ func (c *burst) Arm(_ int, cfg *chip.Config) {
 	// trace entries, so rare flakiness needs a rate orders of magnitude
 	// below the per-request scale (higher rates false-positive-abort
 	// most legitimate traffic). One shared seed: the flakiness is
-	// correlated across the fleet, and identically-armed nodes share a
-	// warm-boot platform.
+	// correlated across the fleet, and identically-armed nodes share one
+	// platform.
 	cfg.Faults = append(append([]faultinject.Plan(nil), cfg.Faults...), faultinject.Plan{
 		Site: faultinject.SiteFIFODrop,
 		Rate: 0.000001,

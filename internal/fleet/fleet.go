@@ -15,7 +15,7 @@
 // campaign's ground truth — which nodes carry latent compromise — is
 // updated from which infection strikes were served, and the policy
 // takes its recovery actions: nothing (reactive — the chip's own
-// rollback is the paper's baseline), staggered warm reboots from a
+// rollback is the paper's baseline), staggered reboots from a
 // clean image (proactive rejuvenation), or ejecting the voted-out
 // dissenter and reviving it from a healthy replica's snapshot (TMR).
 //
@@ -38,9 +38,9 @@ import (
 )
 
 // BootFunc builds one ready-to-serve node: a chip hosting every fleet
-// service (service s on resurrectee slot s) with empty ports. The
-// indra.WarmBooter's BootNode is the production implementation; tests
-// may cold-boot directly.
+// service (service s on resurrectee slot s) with empty ports. The fleet
+// experiment's implementation cold-boots through the indra package's
+// boot path; tests boot single-service nodes directly.
 type BootFunc func(node int) (*chip.Chip, error)
 
 // Config assembles a fleet run.
@@ -180,8 +180,9 @@ func (r *Result) MTTR() float64 {
 // Lost is the logical requests the fleet failed to serve.
 func (r *Result) Lost() int { return r.Logical - r.Served }
 
-// New boots the fleet. Nodes boot serially in id order, so a warm-boot
-// cache behind Boot sees a deterministic miss/hit sequence.
+// New boots the fleet. Nodes boot serially in id order, and reboots
+// happen on the controller, so Boot is never called concurrently and
+// sees a deterministic sequence of node ids.
 func New(cfg Config) (*Fleet, error) {
 	switch {
 	case cfg.Nodes <= 0:

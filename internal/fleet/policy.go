@@ -62,7 +62,7 @@ func (reactive) AfterRound(*Fleet, *RoundReport) error { return nil }
 
 // rejuvenation adds proactive software rejuvenation (cf. SoC
 // rejuvenation, arXiv:2301.08018): every Period rounds the next node in
-// a rotation is warm-rebooted from its clean boot image, regardless of
+// a rotation is rebooted from its clean boot image, regardless of
 // any evidence of compromise. Latent corruption is bounded to at most
 // Period·M rounds of exposure, at the cost of the rebooted node's
 // queued backlog.

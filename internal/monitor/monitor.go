@@ -231,6 +231,20 @@ func (m *Monitor) RegisterApp(info *AppInfo) {
 	m.lastApp = nil // a PID may be re-registered after reboot recovery
 }
 
+// Forget drops everything the monitor holds for pid — its code
+// identity, its shadow stacks on every core and its setjmp targets —
+// once the process is gone.
+func (m *Monitor) Forget(pid int) {
+	delete(m.apps, pid)
+	delete(m.setjmps, pid)
+	for key := range m.shadows {
+		if key.pid == pid {
+			delete(m.shadows, key)
+		}
+	}
+	m.lastApp, m.lastStack = nil, nil
+}
+
 // shadow returns the (core, pid) shadow stack, creating it on first
 // use, through a one-entry cache.
 func (m *Monitor) shadow(key shadowKey) *shadowStack {

@@ -2,6 +2,7 @@ package oslite
 
 import (
 	"fmt"
+	"slices"
 
 	"indra/internal/asm"
 	"indra/internal/checkpoint"
@@ -234,6 +235,22 @@ func (k *Kernel) Killed(pid int) bool { return k.killed[pid] }
 func (k *Kernel) kill(pid int) {
 	k.killed[pid] = true
 	delete(k.procs, pid)
+}
+
+// Reap retires a process that a fresh image has replaced: its PID
+// leaves the process table, and every frame its address space maps is
+// zeroed and returned to the allocator. Frames are freed in ascending
+// order, so the free list, and every allocation that reuses it, is
+// the same from run to run.
+func (k *Kernel) Reap(p *Process) {
+	delete(k.procs, p.PID)
+	frames := make([]uint32, 0, p.AS.Pages())
+	p.AS.EachPage(func(_, frame uint32, _ Perm) { frames = append(frames, frame) })
+	slices.Sort(frames)
+	for _, fr := range frames {
+		k.phys.ZeroPage(fr)
+		k.alloc.Free(fr)
+	}
 }
 
 // Layout constants for process images.

@@ -134,6 +134,10 @@ func (m *Manager) Config() Config { return m.cfg }
 // Stats returns a snapshot of the counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
+// Forget drops pid's checkpoints and failure history once the process
+// is gone.
+func (m *Manager) Forget(pid int) { delete(m.procs, pid) }
+
 func (m *Manager) state(pid int) *procState {
 	st := m.procs[pid]
 	if st == nil {

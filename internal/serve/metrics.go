@@ -48,10 +48,6 @@ type metrics struct {
 	deadlines  *obs.Counter // 504s (deadline expired before a result)
 	cacheFills *obs.Counter // results installed by a cluster peer fill
 
-	warmHits      *obs.Counter // chips stamped from a warm-boot snapshot
-	warmMiss      *obs.Counter // first-run cold boots that primed the booter
-	warmFallbacks *obs.Counter // cold boots forced by a snapshot load failure
-
 	queueDepth  *obs.Gauge     // admitted cells (executing + waiting), with high-water
 	cellLatency *obs.Histogram // per-cell latency incl. cache/queue, µs
 	execLatency *obs.Histogram // per-execution simulation latency, µs
@@ -59,17 +55,14 @@ type metrics struct {
 
 func newMetrics(r *obs.Registry) metrics {
 	return metrics{
-		executions:    r.Counter("serve.executions"),
-		cacheHits:     r.Counter("serve.cache.hits"),
-		cacheMiss:     r.Counter("serve.cache.misses"),
-		rejected:      r.Counter("serve.rejected"),
-		deadlines:     r.Counter("serve.deadlines"),
-		cacheFills:    r.Counter("serve.cache.fills"),
-		warmHits:      r.Counter("serve.warmboot.hits"),
-		warmMiss:      r.Counter("serve.warmboot.misses"),
-		warmFallbacks: r.Counter("serve.warmboot.fallbacks"),
-		queueDepth:    r.Gauge("serve.queue.depth"),
-		cellLatency:   r.Histogram("serve.cell.latency_us"),
-		execLatency:   r.Histogram("serve.exec.latency_us"),
+		executions:  r.Counter("serve.executions"),
+		cacheHits:   r.Counter("serve.cache.hits"),
+		cacheMiss:   r.Counter("serve.cache.misses"),
+		rejected:    r.Counter("serve.rejected"),
+		deadlines:   r.Counter("serve.deadlines"),
+		cacheFills:  r.Counter("serve.cache.fills"),
+		queueDepth:  r.Gauge("serve.queue.depth"),
+		cellLatency: r.Histogram("serve.cell.latency_us"),
+		execLatency: r.Histogram("serve.exec.latency_us"),
 	}
 }

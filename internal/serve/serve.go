@@ -64,18 +64,12 @@ type Config struct {
 	Limits
 	// Reg receives the server's metrics (nil creates a fresh registry).
 	Reg *obs.Registry
-	// Warm is the warm-boot snapshot cache cells are stamped out of on
-	// cache misses (nil creates one unless DisableWarmBoot is set).
-	// Warm and cold boots produce byte-identical output; the fallback
-	// path (a snapshot that fails to load cold-boots instead) is
-	// counted in serve.warmboot.fallbacks.
+	// Warm is ignored: every cell cold-boots its chips.
+	//
+	// Deprecated: leave it nil (see indra.WarmBooter).
 	Warm *indra.WarmBooter
-	// DisableWarmBoot forces every cell execution to cold-boot its
-	// chips (benchmark baseline; also the implicit mode when Runner is
-	// injected without a booter).
-	DisableWarmBoot bool
 	// Runner executes one cell (nil selects indra.RunCell with
-	// CellWorkers and the warm booter). Tests inject stubs here.
+	// CellWorkers). Tests inject stubs here.
 	Runner func(indra.CellKey) (string, error)
 }
 
@@ -98,16 +92,10 @@ func (c Config) withDefaults() Config {
 	if c.Reg == nil {
 		c.Reg = obs.NewRegistry()
 	}
-	if c.Warm == nil && !c.DisableWarmBoot {
-		c.Warm = indra.NewWarmBooter()
-	}
-	if c.DisableWarmBoot {
-		c.Warm = nil
-	}
 	if c.Runner == nil {
-		inner, warm := c.CellWorkers, c.Warm
+		inner := c.CellWorkers
 		c.Runner = func(k indra.CellKey) (string, error) {
-			return indra.RunCell(k, indra.ExpOptions{Workers: inner, Warm: warm})
+			return indra.RunCell(k, indra.ExpOptions{Workers: inner})
 		}
 	}
 	return c
@@ -129,11 +117,6 @@ func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, m: newMetrics(cfg.Reg)}
 	s.cache = newResultCache(cfg.CacheShards, cfg.CacheEntries, s.m.cacheHits, s.m.cacheMiss)
 	s.adm = newAdmission(cfg.Workers, cfg.QueueDepth, s.m.queueDepth)
-	if cfg.Warm != nil {
-		cfg.Warm.OnHit = s.m.warmHits.Inc
-		cfg.Warm.OnMiss = s.m.warmMiss.Inc
-		cfg.Warm.OnFallback = s.m.warmFallbacks.Inc
-	}
 	experiments := len(indra.Experiments())
 	s.Front = NewFront(s, Role{
 		Prefix: "serve",

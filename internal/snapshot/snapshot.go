@@ -77,8 +77,9 @@ func Load(data []byte) (*chip.Chip, error) {
 }
 
 // ConfigBytes returns the canonical wire encoding of a chip
-// configuration (excluding the Obs sink) — a stable identity for
-// same-platform checks such as warm-boot cache keys.
+// configuration — a stable identity for same-platform checks, such as
+// the fleet experiment's per-platform boot tally. It leaves out the Obs
+// sink and ScalarDispatch, which never change a simulation's output.
 func ConfigBytes(cfg chip.Config) []byte {
 	var w wire.Writer
 	encodeConfig(&w, cfg)

@@ -206,14 +206,15 @@ func TestRestoredChipFinishesIdentically(t *testing.T) {
 	}
 }
 
-// TestSnapshotStoresEachImageOnce pins where a post-boot snapshot
-// keeps each service's program image: the text twice (the kernel's
-// process record and the fs file bin/<name>) and the data once (the
-// process record). Memory pages and disk sectors are framed per page
-// and per sector, so a whole image never matches inside them.
+// TestSnapshotStoresEachImageOnce pins where a snapshot keeps each
+// service's program image: the text twice (the kernel's process record
+// and the fs file bin/<name>) and the data once (the process record).
+// Memory pages and disk sectors are framed per page and per sector, so
+// a whole image never matches inside them. The inputs are post-boot
+// chips with one and two services, and a bind chip after two
+// reboot-recovery restarts, whose replaced processes must be gone.
 func TestSnapshotStoresEachImageOnce(t *testing.T) {
-	for _, services := range [][]string{{"httpd"}, {"imap", "httpd"}} {
-		cfg := chip.DefaultConfig()
+	boot := func(cfg chip.Config, services ...string) *chip.Chip {
 		cfg.Resurrectees = len(services)
 		ch, err := chip.New(cfg)
 		if err != nil {
@@ -228,14 +229,43 @@ func TestSnapshotStoresEachImageOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		return ch
+	}
+	rebooted := func() *chip.Chip {
+		cfg := chip.DefaultConfig()
+		cfg.Scheme = chip.SchemeNone
+		cfg.RebootRecovery = true
+		ch := boot(cfg, "bind")
+		smash, err := attack.NewStackSmash(ch.Process(0).Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A smash before each of three requests: the first and third
+		// smash reboot, and each reboot drops the next two requests.
+		for _, rq := range workload.MustByName("bind").GenRequests(3, 1) {
+			a := smash
+			a.Payload = append([]byte(nil), smash.Payload...)
+			ch.ActivePort(0).Enqueue(a, rq)
+		}
+		runTo(t, ch, 0)
+		if pids := ch.Kernel().PIDs(); len(pids) == 0 || pids[len(pids)-1] != 102 {
+			t.Fatalf("reboot chip ends with pids %v, want 102 (two reboots) last", pids)
+		}
+		return ch
+	}
+	for name, ch := range map[string]*chip.Chip{
+		"httpd":         boot(chip.DefaultConfig(), "httpd"),
+		"imap+httpd":    boot(chip.DefaultConfig(), "imap", "httpd"),
+		"bind rebooted": rebooted(),
+	} {
 		blob := Save(ch)
-		for slot, name := range services {
+		for slot := 0; slot < ch.Config().Resurrectees; slot++ {
 			prog := ch.Process(slot).Prog
 			if n := bytes.Count(blob, prog.Text); n != 2 {
-				t.Errorf("%v: %s text stored %d times, want 2", services, name, n)
+				t.Errorf("%s: slot %d text stored %d times, want 2", name, slot, n)
 			}
 			if n := bytes.Count(blob, prog.Data); n != 1 {
-				t.Errorf("%v: %s data stored %d times, want 1", services, name, n)
+				t.Errorf("%s: slot %d data stored %d times, want 1", name, slot, n)
 			}
 		}
 	}

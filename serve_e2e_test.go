@@ -192,92 +192,62 @@ func TestServeE2EGoldenSuite(t *testing.T) {
 	}
 }
 
-// TestServeWarmStart holds the warm-boot contract at the HTTP layer:
-// a server stamping chips out of post-boot snapshots serves NDJSON
-// bodies byte-identical to a cold-booting server on cache misses, and
-// a snapshot that fails to load falls back to a cold boot — counted in
-// serve.warmboot.fallbacks, output unchanged.
+// TestServeWarmStart holds a served cold start to the in-process run:
+// on a default server every cell is a result-cache miss that boots its
+// chips through the one cold-boot path, and the NDJSON bodies equal
+// indra.RunCell's output byte for byte. Warm boot is retired, so
+// /metrics carries no serve.warmboot.* counter.
 func TestServeWarmStart(t *testing.T) {
 	keys := []string{
 		indra.CellKey{Experiment: "fig9", Requests: 1, Scale: 1, Seed: 1}.String(),
 		indra.CellKey{Experiment: "fig9", Requests: 2, Scale: 1, Seed: 1}.String(),
 		indra.CellKey{Experiment: "latency", Requests: 1, Scale: 1, Seed: 1}.String(),
+		indra.CellKey{Experiment: "latency", Requests: 2, Scale: 1, Seed: 1}.String(),
 	}
-	fallbackKey := indra.CellKey{Experiment: "latency", Requests: 2, Scale: 1, Seed: 1}.String()
 
-	batch := func(c *e2eClient, keys []string) map[string]servedCell {
-		t.Helper()
-		body, _ := json.Marshal(map[string]any{"cells": keys, "timeout_ms": 600000})
-		resp, err := c.client.Post(c.base+"/v1/cells", "application/json", strings.NewReader(string(body)))
+	c := startE2EServer(t, serve.Config{Workers: 2})
+	defer c.drain(t)
+	body, _ := json.Marshal(map[string]any{"cells": keys, "timeout_ms": 600000})
+	resp, err := c.client.Post(c.base+"/v1/cells", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	dec := json.NewDecoder(resp.Body)
+	served := map[string]servedCell{}
+	for dec.More() {
+		var cell servedCell
+		if err := dec.Decode(&cell); err != nil {
+			t.Fatalf("NDJSON decode: %v", err)
+		}
+		if cell.Status != http.StatusOK || cell.Cached {
+			t.Fatalf("cell %s: status %d cached %v (%s), want a fresh 200", cell.Key, cell.Status, cell.Cached, cell.Error)
+		}
+		served[cell.Key] = cell
+	}
+
+	for _, key := range keys {
+		k, err := indra.ParseCellKey(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("batch status %d", resp.StatusCode)
+		want, err := indra.RunCell(k, indra.ExpOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		dec := json.NewDecoder(resp.Body)
-		got := map[string]servedCell{}
-		for dec.More() {
-			var cell servedCell
-			if err := dec.Decode(&cell); err != nil {
-				t.Fatalf("NDJSON decode: %v", err)
-			}
-			if cell.Status != http.StatusOK {
-				t.Fatalf("cell %s: status %d (%s)", cell.Key, cell.Status, cell.Error)
-			}
-			got[cell.Key] = cell
-		}
-		return got
-	}
-
-	cold := startE2EServer(t, serve.Config{Workers: 2, DisableWarmBoot: true})
-	defer cold.drain(t)
-	coldCells := batch(cold, append(append([]string{}, keys...), fallbackKey))
-	if m := cold.counters(t); m["serve.warmboot.hits"]+m["serve.warmboot.misses"]+m["serve.warmboot.fallbacks"] != 0 {
-		t.Errorf("cold server touched the warm booter: %v", m)
-	}
-
-	booter := indra.NewWarmBooter()
-	warm := startE2EServer(t, serve.Config{Workers: 2, Warm: booter})
-	defer warm.drain(t)
-
-	// Every key is a result-cache miss on this fresh server, so each
-	// cell really executes — the first boots of each platform prime the
-	// booter, later ones are stamped from snapshots.
-	warmCells := batch(warm, keys)
-	for _, key := range keys {
-		if warmCells[key].Cached {
-			t.Errorf("cell %s hit the result cache; warm-boot path not exercised", key)
-		}
-		if warmCells[key].Output != coldCells[key].Output {
-			t.Errorf("cell %s: warm-boot output diverges from cold boot\n--- warm ---\n%s--- cold ---\n%s",
-				key, warmCells[key].Output, coldCells[key].Output)
+		if got, ok := served[key]; !ok {
+			t.Errorf("cell %s missing from the batch", key)
+		} else if got.Output != want {
+			t.Errorf("cell %s: served output diverges from RunCell\n--- served ---\n%s--- RunCell ---\n%s", key, got.Output, want)
 		}
 	}
-	m := warm.counters(t)
-	if m["serve.warmboot.misses"] == 0 || m["serve.warmboot.hits"] == 0 {
-		t.Errorf("warm booter unused: hits %d misses %d", m["serve.warmboot.hits"], m["serve.warmboot.misses"])
-	}
-	if m["serve.warmboot.fallbacks"] != 0 {
-		t.Errorf("unexpected fallbacks before corruption: %d", m["serve.warmboot.fallbacks"])
-	}
-
-	// Snapshot-load failure: corrupt every cached snapshot, then issue a
-	// cell this server has not yet seen (result-cache miss). The booter
-	// must fall back to a cold boot, count it, and serve the same bytes.
-	if n := booter.CorruptForTest(); n == 0 {
-		t.Fatal("CorruptForTest found no cached snapshots")
-	}
-	cell := warm.postCell(t, fallbackKey)
-	if cell.Status != http.StatusOK || cell.Cached {
-		t.Fatalf("fallback cell: status %d cached %v, want fresh 200", cell.Status, cell.Cached)
-	}
-	if cell.Output != coldCells[fallbackKey].Output {
-		t.Errorf("fallback output diverges from cold boot")
-	}
-	if m = warm.counters(t); m["serve.warmboot.fallbacks"] == 0 {
-		t.Error("snapshot-load failure not counted in serve.warmboot.fallbacks")
+	for name := range c.counters(t) {
+		if strings.HasPrefix(name, "serve.warmboot.") {
+			t.Errorf("/metrics still exports %s", name)
+		}
 	}
 }
 

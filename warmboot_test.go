@@ -1,113 +1,112 @@
 package indra
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"indra/internal/attack"
 	"indra/internal/chip"
 	"indra/internal/netsim"
+	"indra/internal/obs"
+	"indra/internal/snapshot"
 	"indra/internal/workload"
 )
 
-// warmRun executes one bind service run, optionally through a warm
-// booter, and returns the pieces the equivalence checks compare.
-func warmRun(t *testing.T, w *WarmBooter) *ServiceRun {
-	t.Helper()
-	run, err := RunService("bind", Options{
-		Requests: 3,
-		Seed:     1,
-		Attacks:  []attack.Kind{attack.StackSmash},
-		Warm:     w,
-	})
+// Every chip cold-boots through bootChip; these tests hold what a
+// post-boot snapshot still guarantees to the crash-resume, rewind,
+// fleet-revive and difftest paths that restore one.
+
+// TestWarmBootEquivalence restores a chip from a post-boot Save and
+// serves it the stream RunService builds (bind, a stack smash after the
+// first of three requests): summary, request records and run result
+// equal the RunService cold boot's.
+func TestWarmBootEquivalence(t *testing.T) {
+	opts := Options{Requests: 3, Seed: 1, Attacks: []attack.Kind{attack.StackSmash}}
+	cold, err := RunService("bind", opts)
 	if err != nil {
 		t.Fatalf("RunService: %v", err)
 	}
-	return run
-}
 
-// TestWarmBootEquivalence is the core warm-start guarantee: a chip
-// stamped out of the booter's post-boot snapshot produces output
-// byte-identical to a cold boot, and repeat boots hit the cache.
-func TestWarmBootEquivalence(t *testing.T) {
-	cold := warmRun(t, nil)
-
-	w := NewWarmBooter()
-	first := warmRun(t, w)  // miss: primes the cache
-	second := warmRun(t, w) // hit: stamped from the snapshot
-
-	for name, run := range map[string]*ServiceRun{"miss": first, "hit": second} {
-		if run.Summary != cold.Summary {
-			t.Errorf("%s summary diverged: got %+v want %+v", name, run.Summary, cold.Summary)
-		}
-		if !reflect.DeepEqual(run.Port.Records(), cold.Port.Records()) {
-			t.Errorf("%s request records diverged from cold boot", name)
-		}
-		if run.Result != cold.Result {
-			t.Errorf("%s run result diverged: got %+v want %+v", name, run.Result, cold.Result)
-		}
+	b, err := bootChip(DefaultChipConfig(), []string{"bind"}, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.ch, err = snapshot.Load(snapshot.Save(b.ch))
+	if err != nil {
+		t.Fatalf("Load of a post-boot image: %v", err)
+	}
+	seq, err := attack.Sequence(attack.StackSmash, b.ch.Process(0).Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legit := b.params[0].GenRequests(opts.Requests, opts.Seed)
+	stream := append(append(append([]netsim.Request{}, legit[:1]...), seq...), legit[1:]...)
+	ch, res, err := b.run(nil, stream, opts.withDefaults().MaxInstructions)
+	if err != nil {
+		t.Fatalf("restored run: %v", err)
 	}
 
-	st := w.Stats()
-	if st.Misses != 1 || st.Hits != 1 || st.Fallbacks != 0 {
-		t.Errorf("stats = %+v, want {Hits:1 Misses:1 Fallbacks:0}", st)
+	port := ch.ActivePort(0)
+	if got := port.Summarize(); got != cold.Summary {
+		t.Errorf("restored summary diverged: got %+v want %+v", got, cold.Summary)
 	}
-	if w.Entries() != 1 {
-		t.Errorf("Entries() = %d, want 1", w.Entries())
+	if !reflect.DeepEqual(port.Records(), cold.Port.Records()) {
+		t.Error("restored request records diverged from cold boot")
+	}
+	if res != cold.Result {
+		t.Errorf("restored run result diverged: got %+v want %+v", res, cold.Result)
 	}
 }
 
-// TestWarmBootFallback corrupts every cached snapshot and checks the
-// booter falls back to a cold boot — counted, correct, and re-primed.
+// TestWarmBootFallback truncates a post-boot image: snapshot.Load must
+// return an error, not panic and not hand back a chip.
 func TestWarmBootFallback(t *testing.T) {
-	cold := warmRun(t, nil)
-
-	w := NewWarmBooter()
-	warmRun(t, w) // prime
-	if n := w.CorruptForTest(); n != 1 {
-		t.Fatalf("CorruptForTest() = %d entries, want 1", n)
+	b, err := bootChip(DefaultChipConfig(), []string{"bind"}, 1.0)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	run := warmRun(t, w)
-	if run.Summary != cold.Summary {
-		t.Errorf("fallback summary diverged: got %+v want %+v", run.Summary, cold.Summary)
+	blob := snapshot.Save(b.ch)
+	if _, err := snapshot.Load(blob); err != nil {
+		t.Fatalf("Load of the intact image: %v", err)
 	}
-	st := w.Stats()
-	if st.Fallbacks != 1 {
-		t.Errorf("Fallbacks = %d, want 1", st.Fallbacks)
-	}
-
-	// The fallback re-primed the cache: the next boot is a hit again.
-	warmRun(t, w)
-	if st = w.Stats(); st.Hits != 1 {
-		t.Errorf("post-fallback Hits = %d, want 1", st.Hits)
+	for _, cut := range []int{len(blob) / 4, len(blob) / 2, len(blob) - 1} {
+		ch, err := snapshot.Load(append([]byte(nil), blob[:cut]...))
+		if err == nil || ch != nil {
+			t.Errorf("Load of an image cut to %d of %d bytes: chip %v, err %v; want an error", cut, len(blob), ch != nil, err)
+		}
 	}
 }
 
-// TestWarmBootKeyedByConfig checks distinct chip configs do not share
-// warm images.
+// TestWarmBootKeyedByConfig checks snapshot.ConfigBytes, the platform
+// identity the fleet's boot tally keys on: a FIFO size change is a
+// different platform, while the Obs sink and ScalarDispatch, which
+// never change output, are not.
 func TestWarmBootKeyedByConfig(t *testing.T) {
-	w := NewWarmBooter()
-	warmRun(t, w)
+	base := DefaultChipConfig()
+	key := snapshot.ConfigBytes(base)
 
-	cfg := DefaultChipConfig()
-	cfg.FIFOEntries = 8
-	if _, err := RunService("bind", Options{Chip: &cfg, Requests: 3, Seed: 1, Warm: w}); err != nil {
-		t.Fatalf("RunService: %v", err)
+	fifo := base
+	fifo.FIFOEntries = 8
+	if bytes.Equal(snapshot.ConfigBytes(fifo), key) {
+		t.Error("FIFO sizes 8 and 32 share a platform key")
 	}
-	if w.Entries() != 2 {
-		t.Errorf("Entries() = %d, want 2 (configs must not share images)", w.Entries())
+	observed := base
+	observed.Obs = obs.NewCollector()
+	if !bytes.Equal(snapshot.ConfigBytes(observed), key) {
+		t.Error("an Obs sink changed the platform key")
 	}
-	st := w.Stats()
-	if st.Misses != 2 || st.Hits != 0 {
-		t.Errorf("stats = %+v, want 2 misses, 0 hits", st)
+	scalar := base
+	scalar.ScalarDispatch = true
+	if !bytes.Equal(snapshot.ConfigBytes(scalar), key) {
+		t.Error("ScalarDispatch changed the platform key")
 	}
 }
 
-// BootNode must stamp identical multi-service nodes out of one cached
-// snapshot: the first boot is a miss, every further boot of the same
-// platform is a hit, and warm nodes serve byte-identically to cold
-// ones.
+// TestWarmBootNode round-trips a six-service node, booted by bootChip
+// as the fleet boots its nodes, through Save and Load: the restored
+// node serves every service byte-identically to the booted one. More
+// services than resurrectee slots is an error.
 func TestWarmBootNode(t *testing.T) {
 	names := workload.Names()
 	cfg := chip.DefaultConfig()
@@ -132,37 +131,25 @@ func TestWarmBootNode(t *testing.T) {
 		return out
 	}
 
-	w := NewWarmBooter()
-	ch1, err := w.BootNode(names, 1.0, cfg)
+	b, err := bootChip(cfg, names, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch2, err := w.BootNode(names, 1.0, cfg)
+	restored, err := snapshot.Load(snapshot.Save(b.ch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := w.Stats()
-	if st.Misses != 1 || st.Hits != 1 || st.Fallbacks != 0 {
-		t.Fatalf("stats = %+v, want 1 miss + 1 hit", st)
+	booted := serve(b.ch)
+	if got := serve(restored); !reflect.DeepEqual(booted, got) {
+		t.Fatalf("restored node diverges from booted:\nbooted   %+v\nrestored %+v", booted, got)
 	}
-
-	cold := serve(ch1)
-	warm := serve(ch2)
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("warm node diverges from cold:\ncold %+v\nwarm %+v", cold, warm)
-	}
-	for s := range cold {
-		if cold[s].Served != 2 {
-			t.Fatalf("service %s served %d of 2", names[s], cold[s].Served)
+	for s := range booted {
+		if booted[s].Served != 2 {
+			t.Fatalf("service %s served %d of 2", names[s], booted[s].Served)
 		}
 	}
 
-	// Slot-count mismatches are rejected up front.
-	bad := chip.DefaultConfig() // 1 resurrectee
-	if _, err := w.BootNode(names, 1.0, bad); err == nil {
-		t.Fatal("BootNode accepted more services than slots")
-	}
-	if _, err := w.BootNode(nil, 1.0, cfg); err == nil {
-		t.Fatal("BootNode accepted an empty service list")
+	if _, err := bootChip(chip.DefaultConfig(), names, 1.0); err == nil { // 1 resurrectee
+		t.Fatal("bootChip accepted more services than slots")
 	}
 }
