@@ -155,7 +155,6 @@ func programNICRing(ch *chip.Chip, bufPA uint32, capacity, count int, dmaCore in
 		binary.LittleEndian.PutUint16(d[6:], device.NICDescReady)
 	}
 	ch.HostDMAWrite(deviceRingPA, ring)
-	reg := ch.Devices()
 	for _, w := range []struct {
 		off uint32
 		val uint32
@@ -165,7 +164,7 @@ func programNICRing(ch *chip.Chip, bufPA uint32, capacity, count int, dmaCore in
 		{device.NICRegDMACore, uint32(dmaCore)},
 		{device.NICRegCtrl, device.NICCtrlEnable},
 	} {
-		if err := reg.Write32(0, device.NICMMIOBase+w.off, w.val); err != nil {
+		if err := ch.NIC().WriteMMIO(0, device.NICMMIOBase+w.off, w.val); err != nil {
 			return fmt.Errorf("faultsweep: nic setup: %w", err)
 		}
 	}

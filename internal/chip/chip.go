@@ -175,16 +175,15 @@ func (b *BootReport) log(format string, args ...any) {
 
 // Chip is the assembled system.
 type Chip struct {
-	cfg      Config
-	phys     *mem.Physical
-	wd       *watchdog.Watchdog
-	mon      *monitor.Monitor
-	rec      *recovery.Manager
-	kern     *oslite.Kernel
-	registry *device.Registry
-	disk     *device.Disk
-	nic      *device.NIC
-	boot     BootReport
+	cfg  Config
+	phys *mem.Physical
+	wd   *watchdog.Watchdog
+	mon  *monitor.Monitor
+	rec  *recovery.Manager
+	kern *oslite.Kernel
+	disk *device.Disk
+	nic  *device.NIC
+	boot BootReport
 
 	cores     []*cpu.Core
 	queues    []*fifo.Queue
@@ -414,25 +413,17 @@ func (c *Chip) bootSequence() {
 	// resurrector's space that pass the watchdog.
 	c.kern = oslite.NewKernel(c.phys, teeLo, teeHi, netMux{c}, hooksMux{c})
 
-	// Peripherals plug into the device registry; the resurrector owns
-	// the registry and every MMIO access dispatches through the same
-	// watchdog that guards CPU stores.
-	c.registry = device.NewRegistry(c.wd)
+	// The resurrector owns both peripherals: every disk DMA is checked
+	// as its originating core, every NIC register access as the core
+	// that made it, and NIC DMA as the principal its driver programmed.
 	c.disk = device.NewDisk(c.phys, c.wd, c.lineCost)
 	c.disk.SetFaults(c.inj, func() uint64 { return c.cores[c.activeIdx].Cycles() })
 	c.kern.AttachDisk(c.disk)
-	if err := c.registry.Register(c.disk); err != nil {
-		panic(err) // boot-time wiring of fixed devices cannot collide
-	}
 	b.log("block device attached; DMA descriptors watchdog-checked per originating core")
 	c.nic = device.NewNIC(c.phys, c.wd, c.inj)
-	if err := c.registry.Register(c.nic); err != nil {
-		panic(err)
-	}
 	c.kern.FS().Back(c.disk, FSBackingBaseSector)
 	b.log("nic registered at MMIO [%#x,%#x); fs backed by disk sectors %d+",
 		device.NICMMIOBase, device.NICMMIOBase+device.NICMMIOBytes, uint32(FSBackingBaseSector))
-	c.registry.StartAll()
 	b.log("resurrectee cores released; OS-lite booted on cores %d..%d (%d resurrector(s))",
 		nRes, nRes+c.cfg.Resurrectees-1, nRes)
 }
@@ -548,11 +539,9 @@ func (c *Chip) LaunchService(slot int, name string, prog *asm.Program, port *net
 	st.ports = append(st.ports, port)
 	st.ctxs = append(st.ctxs, c.kern.InitialContext(p))
 
-	// On a backed fs the binary lands on disk sectors (the image
-	// RespawnFromDisk reloads).
-	if c.kern.FS().Backed() {
-		c.kern.WriteFile("bin/"+name, prog.Text)
-	}
+	// The binary lands on disk sectors (bootSequence backs the fs):
+	// the image RespawnFromDisk reloads.
+	c.kern.WriteFile("bin/"+name, prog.Text)
 
 	// The first process launched on a slot owns the core; further
 	// launches join the slot's round-robin schedule and are installed
@@ -622,20 +611,31 @@ func (c *Chip) registerApp(name string, prog *asm.Program, p *oslite.Process) {
 // are lost (Section 2.2: the recovery style INDRA replaces).
 func (c *Chip) rebootSlot(idx int) error {
 	st := &c.slots[idx]
+	if err := c.replace(idx, st.activeProc().Prog); err != nil {
+		return err
+	}
+	core := c.cores[idx]
+	core.AddCycles(RebootCycles)
+	st.activePort().DropNext(RebootDrops, core.Cycles())
+	return nil
+}
+
+// replace swaps slot's active process for a fresh spawn of prog under
+// the same name, the restart that reboot recovery and a respawn from
+// disk share: the successor starts at its initial context on a flushed
+// core, and the replaced process is reaped.
+func (c *Chip) replace(slot int, prog *asm.Program) error {
+	st := &c.slots[slot]
 	i := st.active
 	old := st.procs[i]
-	p, err := c.spawn(idx, old.Name, old.Prog)
+	p, err := c.spawn(slot, old.Name, prog)
 	if err != nil {
 		return err
 	}
 	st.procs[i] = p
 	st.ctxs[i] = c.kern.InitialContext(p)
-	c.install(idx, i, true)
+	c.install(slot, i, true)
 	c.reap(old)
-
-	core := c.cores[idx]
-	core.AddCycles(RebootCycles)
-	st.ports[i].DropNext(RebootDrops, core.Cycles())
 	return nil
 }
 
@@ -757,10 +757,6 @@ func (h hooksMux) CoreID() int {
 // Disk exposes the platform's block device.
 func (c *Chip) Disk() *device.Disk { return c.disk }
 
-// Devices exposes the device registry (MMIO dispatch, lifecycle,
-// lookup by name).
-func (c *Chip) Devices() *device.Registry { return c.registry }
-
 // NIC exposes the platform's network interface.
 func (c *Chip) NIC() *device.NIC { return c.nic }
 
@@ -789,9 +785,9 @@ func (c *Chip) TranslateVA(slot int, va uint32) (uint32, bool) {
 func (c *Chip) HostDMAWrite(pa uint32, b []byte) { c.phys.WriteBytes(pa, b) }
 
 // RespawnFromDisk reloads the active service of a resurrectee slot from
-// its on-disk binary (bin/<name>, written at launch on a backed fs):
-// the daemon-restart path a disk-sector tamper attack targets. The
-// fresh process runs whatever the sectors now hold; its text pages are
+// its on-disk binary (bin/<name>, written at launch): the
+// daemon-restart path a disk-sector tamper attack targets. The fresh
+// process runs whatever the sectors now hold; its text pages are
 // re-registered as the service's code identity, so tampered *code*
 // executes — and only a control transfer out of the code region (the
 // tamper's payload) trips code-origin inspection.
@@ -799,35 +795,25 @@ func (c *Chip) RespawnFromDisk(slot int) error {
 	if slot < 0 || slot >= len(c.cores) {
 		return fmt.Errorf("chip: no resurrectee slot %d", slot)
 	}
-	st := &c.slots[slot]
-	if len(st.procs) == 0 {
+	old := c.slots[slot].activeProc()
+	if old == nil {
 		return fmt.Errorf("chip: slot %d has no service", slot)
 	}
-	i := st.active
-	old := st.procs[i]
 	data, ok := c.kern.ReadFile("bin/" + old.Name)
 	if !ok || len(data) == 0 {
-		return fmt.Errorf("chip: no binary bin/%s on the fs (unbacked fs?)", old.Name)
+		return fmt.Errorf("chip: no binary bin/%s on the fs", old.Name)
 	}
 	prog := *old.Prog
 	prog.Text = data
-	p, err := c.spawn(slot, old.Name, &prog)
-	if err != nil {
-		return err
-	}
-	st.procs[i] = p
-	st.ctxs[i] = c.kern.InitialContext(p)
-	c.install(slot, i, true)
-	c.reap(old)
-	return nil
+	return c.replace(slot, &prog)
 }
 
-// reap retires a process that rebootSlot or RespawnFromDisk replaced,
-// once its successor is installed: the kernel drops it and frees its
-// frames, and the resurrector forgets its code identity, shadow stacks,
-// setjmp targets and recovery state. Freeing only after the successor
-// has spawned keeps the successor's own frames where a fresh boot puts
-// them; a later image reuses the freed ones.
+// reap retires a process that replace swapped out, once its successor
+// is installed: the kernel drops it and frees its frames, and the
+// resurrector forgets its code identity, shadow stacks, setjmp targets
+// and recovery state. Freeing only after the successor has spawned
+// keeps the successor's own frames where a fresh boot puts them; a
+// later image reuses the freed ones.
 func (c *Chip) reap(old *oslite.Process) {
 	c.kern.Reap(old)
 	c.mon.Forget(old.PID)

@@ -12,20 +12,7 @@ import (
 // a nil registry are nil and every operation on them is a no-op, so
 // the hot paths below carry exactly one nil check when observation is
 // off (the zero-cost contract of internal/obs).
-//
-// The protection counters mirror ProtectionStats at event time: where
-// the plain struct is only readable after Run returns, the registry
-// copies are visible to every -metrics-every mid-run snapshot.
 type chipMetrics struct {
-	droppedRecords     *obs.Counter
-	injectedDrops      *obs.Counter
-	injectedCorrupts   *obs.Counter
-	monitorStallCycles *obs.Counter
-	heartbeatMisses    *obs.Counter
-	macroEscalations   *obs.Counter
-	microFallbacks     *obs.Counter
-	degradations       *obs.Counter
-
 	rollbackCycles   *obs.Histogram // micro-rollback latency per recovery
 	violationLatency *obs.Histogram // emit-to-verdict cycles per detection
 
@@ -35,18 +22,10 @@ type chipMetrics struct {
 
 func newChipMetrics(reg *obs.Registry, slots int) chipMetrics {
 	m := chipMetrics{
-		droppedRecords:     reg.Counter("chip.dropped_records"),
-		injectedDrops:      reg.Counter("chip.injected_drops"),
-		injectedCorrupts:   reg.Counter("chip.injected_corrupts"),
-		monitorStallCycles: reg.Counter("chip.monitor_stall_cycles"),
-		heartbeatMisses:    reg.Counter("chip.heartbeat_misses"),
-		macroEscalations:   reg.Counter("chip.macro_escalations"),
-		microFallbacks:     reg.Counter("chip.micro_fallbacks"),
-		degradations:       reg.Counter("chip.degradations"),
-		rollbackCycles:     reg.Histogram("ckpt.rollback_cycles"),
-		violationLatency:   reg.Histogram("monitor.violation_latency"),
-		fifoOcc:            make([]*obs.Gauge, slots),
-		ipcMilli:           make([]*obs.Gauge, slots),
+		rollbackCycles:   reg.Histogram("ckpt.rollback_cycles"),
+		violationLatency: reg.Histogram("monitor.violation_latency"),
+		fifoOcc:          make([]*obs.Gauge, slots),
+		ipcMilli:         make([]*obs.Gauge, slots),
 	}
 	for i := range m.fifoOcc {
 		m.fifoOcc[i] = reg.Gauge(fmt.Sprintf("slot%d.fifo.occupancy_now", i))
@@ -55,16 +34,27 @@ func newChipMetrics(reg *obs.Registry, slots int) chipMetrics {
 	return m
 }
 
-// instrument wires the sink through the assembled chip: per-slot cache,
-// FIFO and core probes, the shared DRAM model, the monitor, and the
-// tracer's track names. Called once from New; with the Nop sink the
-// registry is nil and everything short-circuits to no-ops.
+// instrument wires the sink through the assembled chip: probes over
+// ProtectionStats (read at every snapshot, so -metrics-every mid-run
+// snapshots see them too), per-slot cache, FIFO and core probes, the
+// shared DRAM model, the monitor, and the tracer's track names. Called
+// once from New; with the Nop sink the registry is nil and everything
+// short-circuits to no-ops.
 func (c *Chip) instrument() {
 	reg := c.reg
 	c.om = newChipMetrics(reg, len(c.cores))
 	if reg == nil && c.tr == nil {
 		return
 	}
+	ps := &c.pstats
+	reg.Probe("chip.dropped_records", func() uint64 { return ps.DroppedRecords })
+	reg.Probe("chip.injected_drops", func() uint64 { return ps.InjectedDrops })
+	reg.Probe("chip.injected_corrupts", func() uint64 { return ps.InjectedCorrupts })
+	reg.Probe("chip.monitor_stall_cycles", func() uint64 { return ps.MonitorStallCycles })
+	reg.Probe("chip.heartbeat_misses", func() uint64 { return ps.HeartbeatMisses })
+	reg.Probe("chip.macro_escalations", func() uint64 { return ps.MacroEscalations })
+	reg.Probe("chip.micro_fallbacks", func() uint64 { return ps.MicroFallbacks })
+	reg.Probe("chip.degradations", func() uint64 { return ps.Degradations })
 	c.dram.Instrument(reg, "dram")
 	c.mon.Instrument(reg, "monitor")
 	for i := range c.cores {

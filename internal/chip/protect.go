@@ -118,7 +118,6 @@ func (c *Chip) checkHeartbeat(idx int, now uint64) bool {
 	}
 	hb.Miss(now)
 	c.pstats.HeartbeatMisses++
-	c.om.heartbeatMisses.Inc()
 	return true
 }
 
@@ -155,7 +154,6 @@ func (c *Chip) escalateStall(idx int) {
 		core.AddCycles(cycles)
 		core.SetHalted(false)
 		c.pstats.MacroEscalations++
-		c.om.macroEscalations.Inc()
 		c.tr.Instant("heartbeat-escalation", core.ID, now)
 		c.protEvent("cycle %d slot %d: monitor heartbeat lost; macro restore (%d cycles)", now, idx, cycles)
 		return
@@ -163,7 +161,6 @@ func (c *Chip) escalateStall(idx int) {
 	if c.rec.CanRecover(p) {
 		core.AddCycles(c.rec.OnFailure(p, core))
 		c.pstats.MicroFallbacks++
-		c.om.microFallbacks.Inc()
 		c.tr.Instant("heartbeat-micro-fallback", core.ID, now)
 		c.protEvent("cycle %d slot %d: monitor heartbeat lost; no macro checkpoint, micro rollback", now, idx)
 		return
@@ -179,7 +176,6 @@ func (c *Chip) degrade(idx int, reason string) {
 	}
 	st.degraded = true
 	c.pstats.Degradations++
-	c.om.degradations.Inc()
 	core := c.cores[idx]
 	c.tr.Instant("degraded:"+c.cfg.Degradation.String(), core.ID, core.Cycles())
 	switch c.cfg.Degradation {
@@ -206,7 +202,6 @@ func (c *Chip) noteFIFODrop(idx int) {
 	st := &c.slots[idx]
 	st.drops++
 	c.pstats.DroppedRecords++
-	c.om.droppedRecords.Inc()
 	if c.cfg.FIFODropLimit > 0 && st.drops > c.cfg.FIFODropLimit {
 		c.degrade(idx, "FIFO drop limit exceeded")
 	}

@@ -61,12 +61,10 @@ func (c *Chip) emitTrace(idx int, rec trace.Record) uint64 {
 	if c.inj != nil {
 		if c.inj.DropRecord(now) {
 			c.pstats.InjectedDrops++
-			c.om.injectedDrops.Inc()
 			return 0
 		}
 		if c.inj.CorruptRecord(now, &rec) {
 			c.pstats.InjectedCorrupts++
-			c.om.injectedCorrupts.Inc()
 		}
 	}
 
@@ -112,7 +110,6 @@ func (c *Chip) verifyAt(idx int, rec trace.Record) uint64 {
 		if s := c.inj.MonitorStall(start); s > 0 {
 			cost += s
 			c.pstats.MonitorStallCycles += s
-			c.om.monitorStallCycles.Add(s)
 		}
 	}
 	c.monClks[r] = start + cost
@@ -252,9 +249,9 @@ func (c *Chip) Run(maxInstr uint64) (RunResult, error) {
 		c.refreshBudgetAt(idx)
 	}
 	// Frames are queued host-side between Run calls, never during one,
-	// so pending device work can only drain here: NeedsPoll is re-read
+	// so pending NIC work can only drain here: PollPending is re-read
 	// after each poll and nowhere else.
-	pollPending := c.registry.NeedsPoll()
+	pollPending := c.nic.PollPending()
 	fold := len(c.cores) == 1
 	for {
 		allHalted := true
@@ -305,12 +302,12 @@ func (c *Chip) Run(maxInstr uint64) (RunResult, error) {
 				}
 			}
 
-			// Pollable devices (DMA engines with queued work) get a turn
-			// at fixed instruction boundaries; idle devices cost nothing.
+			// The NIC's DMA engine, while frames wait, gets a turn at
+			// fixed instruction boundaries; an idle NIC costs nothing.
 			if pollPending && core.Instret()-c.lastPoll[idx] >= DevicePollInterval {
-				c.registry.Poll(core.Cycles())
+				c.nic.Poll(core.Cycles())
 				c.lastPoll[idx] = core.Instret()
-				pollPending = c.registry.NeedsPoll()
+				pollPending = c.nic.PollPending()
 			}
 
 			// A halted core stops emitting, but the resurrector keeps

@@ -5,6 +5,7 @@ import (
 
 	"indra/internal/checkpoint"
 	"indra/internal/checkpoint/baseline"
+	"indra/internal/device"
 	"indra/internal/monitor"
 	"indra/internal/netsim"
 	"indra/internal/oslite"
@@ -68,7 +69,7 @@ func (c *Chip) EncodeState(w *wire.Writer) {
 	c.kern.EncodeState(w)
 	c.dram.EncodeState(w)
 	c.wd.EncodeState(w)
-	c.registry.EncodeState(w)
+	device.EncodeSection(w, c.disk, c.nic)
 	c.mon.EncodeState(w)
 	c.rec.EncodeState(w)
 
@@ -196,7 +197,7 @@ func (c *Chip) DecodeState(r *wire.Reader) {
 	c.kern.DecodeState(r)
 	c.dram.DecodeState(r)
 	c.wd.DecodeState(r)
-	c.registry.DecodeState(r)
+	device.DecodeSection(r, c.disk, c.nic)
 	c.mon.DecodeState(r)
 	c.rec.DecodeState(r)
 

@@ -27,7 +27,6 @@ const (
 	FaultWriteProtect
 	FaultWatchdog
 	FaultSyscall // a *oslite.ProcFault from the kernel
-	FaultHaltInHandler
 )
 
 func (k FaultKind) String() string {
@@ -42,8 +41,6 @@ func (k FaultKind) String() string {
 		return "watchdog"
 	case FaultSyscall:
 		return "syscall-fault"
-	case FaultHaltInHandler:
-		return "halt-in-handler"
 	}
 	return "fault"
 }
@@ -220,12 +217,6 @@ func (c *Core) Cycles() uint64 { return c.stats.Cycles }
 
 // AddCycles charges extra cycles to the core (chip-level stalls).
 func (c *Core) AddCycles(n uint64) { c.stats.Cycles += n }
-
-// AddSyncStall charges sync-point stall cycles (also counted in Cycles).
-func (c *Core) AddSyncStall(n uint64) {
-	c.stats.Cycles += n
-	c.stats.SyncStall += n
-}
 
 // NoteSyncStall records sync-stall cycles that are charged to the core
 // clock elsewhere (through the syscall cost path), so the counter stays

@@ -1,13 +1,15 @@
-// Package device models the peripherals of the INDRA platform —
-// a block storage device with a DMA engine. The paper's privilege
-// model (Section 2.3.1) grants the resurrector access to "all the
-// hardware resources including ... I/O devices and all the DMA
-// engines" while low-privileged cores get "limited access to the
-// peripherals": every DMA descriptor here carries the *originating
-// core's* ID and each touched physical range is validated by the same
-// memory watchdog that guards CPU accesses, so a compromised
-// resurrectee cannot use the DMA engine to read or overwrite the
-// monitor's memory.
+// Package device models the INDRA platform's two peripherals: a block
+// storage device (disk0) and a network interface (nic0), each with a
+// DMA engine. The chip holds and calls both directly. The paper's
+// privilege model (Section 2.3.1) grants the resurrector access to
+// "all the hardware resources including ... I/O devices and all the
+// DMA engines" while low-privileged cores get "limited access to the
+// peripherals": a disk DMA descriptor carries the *originating core's*
+// ID, the NIC's DMA runs as the principal core its driver programmed,
+// a NIC register access is checked as the core that made it, and
+// every touched physical address is validated by the same memory
+// watchdog that guards CPU accesses, so a compromised resurrectee
+// cannot use a device to read or overwrite the monitor's memory.
 package device
 
 import (
@@ -100,19 +102,8 @@ func NewDisk(phys *mem.Physical, wd *watchdog.Watchdog, cost CostFunc) *Disk {
 	}
 }
 
-// Name implements Device.
+// Name is the disk's tag in the snapshot's device section.
 func (d *Disk) Name() string { return "disk0" }
-
-// Start implements Device.
-func (d *Disk) Start() {}
-
-// Stop implements Device.
-func (d *Disk) Stop() {}
-
-// Reset implements Device. The sector store is non-volatile and
-// survives a reset by design (Section 3.3.3: disk contents, once
-// written, are never rolled back).
-func (d *Disk) Reset() {}
 
 // SetFaults arms the disk's DMA path with a fault injector and a cycle
 // clock (CorruptDMA decisions are keyed on the current cycle). Either

@@ -6,17 +6,19 @@ import (
 
 	"indra/internal/faultinject"
 	"indra/internal/mem"
-	"indra/internal/netsim"
 	"indra/internal/watchdog"
 )
 
 // The NIC is a DMA-capable network interface: the host side queues raw
-// frames (bridged from an internal/netsim request stream), and the
-// device copies each frame into guest memory through a descriptor ring
-// that lives *in* guest memory — the driver publishes buffers, the
-// device consumes them. Two properties matter for the INDRA threat
-// model:
+// frames, and the device copies each frame into guest memory through a
+// descriptor ring that lives *in* guest memory — the driver publishes
+// buffers, the device consumes them. Three properties matter for the
+// INDRA threat model:
 //
+//   - Every register access is validated by the memory watchdog as the
+//     core that made it, before the register is decoded: the window at
+//     NICMMIOBase lies outside every resurrectee partition, so only a
+//     resurrector can program the device.
 //   - Every DMA access (descriptor fetch, buffer fill, descriptor
 //     write-back) is validated by the memory watchdog as the configured
 //     DMA principal core, so a ring that reaches into the resurrector's
@@ -99,15 +101,8 @@ func NewNIC(phys *mem.Physical, wd *watchdog.Watchdog, inj *faultinject.Injector
 	return &NIC{phys: phys, wd: wd, inj: inj}
 }
 
-// Name implements Device.
+// Name is the NIC's tag in the snapshot's device section.
 func (n *NIC) Name() string { return "nic0" }
-
-// Start implements Device (the engine still requires NICRegCtrl enable
-// from the driver; Start itself arms nothing).
-func (n *NIC) Start() {}
-
-// Stop quiesces the receive engine.
-func (n *NIC) Stop() { n.enabled = false }
 
 // Reset returns all volatile state to power-on values, including any
 // frames still pending on the wire side.
@@ -137,19 +132,14 @@ func (n *NIC) QueueFrame(data []byte) bool {
 	return true
 }
 
-// QueueRequests bridges a netsim request stream onto the wire side:
-// each request's payload becomes one frame.
-func (n *NIC) QueueRequests(reqs ...netsim.Request) {
-	for _, r := range reqs {
-		n.QueueFrame(r.Payload)
+// ReadMMIO reads the register at addr on behalf of core. The watchdog
+// check runs first: an unprivileged core touching the register window
+// is an insulation violation before it is a device access. Addresses
+// that decode to no register are errors.
+func (n *NIC) ReadMMIO(core int, addr uint32) (uint32, error) {
+	if err := n.wd.Check(core, addr, watchdog.Read); err != nil {
+		return 0, err
 	}
-}
-
-// MMIORegion implements MMIOHandler.
-func (n *NIC) MMIORegion() (lo, hi uint32) { return NICMMIOBase, NICMMIOBase + NICMMIOBytes }
-
-// ReadMMIO implements MMIOHandler (the watchdog check already ran).
-func (n *NIC) ReadMMIO(_ int, addr uint32) (uint32, error) {
 	switch addr - NICMMIOBase {
 	case NICRegCtrl:
 		if n.enabled {
@@ -170,8 +160,12 @@ func (n *NIC) ReadMMIO(_ int, addr uint32) (uint32, error) {
 	return 0, fmt.Errorf("nic: read of unmapped register %#x", addr)
 }
 
-// WriteMMIO implements MMIOHandler.
-func (n *NIC) WriteMMIO(_ int, addr uint32, val uint32) error {
+// WriteMMIO writes val to the register at addr on behalf of core,
+// watchdog-checked first like ReadMMIO.
+func (n *NIC) WriteMMIO(core int, addr uint32, val uint32) error {
+	if err := n.wd.Check(core, addr, watchdog.Write); err != nil {
+		return err
+	}
 	switch addr - NICMMIOBase {
 	case NICRegCtrl:
 		n.enabled = val&NICCtrlEnable != 0
@@ -202,7 +196,8 @@ func (n *NIC) WriteMMIO(_ int, addr uint32, val uint32) error {
 	return fmt.Errorf("nic: write of unmapped register %#x", addr)
 }
 
-// PollPending implements Poller: the run loop polls while frames wait.
+// PollPending reports whether frames wait: the chip's run loop polls
+// only then, so an idle NIC costs nothing.
 func (n *NIC) PollPending() bool { return len(n.pending) > 0 }
 
 // checkRange validates a DMA access of size bytes at pa: inside
@@ -225,9 +220,10 @@ func (n *NIC) checkRange(pa uint32, size uint32, op watchdog.Access) error {
 	return nil
 }
 
-// Poll implements Poller: delivers at most one pending frame through
-// the descriptor ring. One frame per poll keeps the per-boundary work
-// bounded and the delivery schedule deterministic.
+// Poll delivers at most one pending frame through the descriptor
+// ring; the chip's run loop calls it at deterministic instruction
+// boundaries. One frame per poll keeps the per-boundary work bounded
+// and the delivery schedule deterministic.
 func (n *NIC) Poll(now uint64) {
 	if !n.enabled || n.ringLen == 0 || len(n.pending) == 0 {
 		return

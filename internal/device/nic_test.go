@@ -1,6 +1,7 @@
 package device
 
 import (
+	"bytes"
 	"encoding/binary"
 	"strings"
 	"testing"
@@ -24,9 +25,9 @@ func testNIC() (*NIC, *mem.Physical, *watchdog.Watchdog) {
 	return NewNIC(phys, wd, nil), phys, wd
 }
 
-// program writes the NIC registers as core 0 through the registry,
-// failing the test on any refusal.
-func program(t *testing.T, r *Registry, ringBase, ringLen, dmaCore uint32) {
+// program writes the NIC registers as core 0, failing the test on any
+// refusal.
+func program(t *testing.T, nic *NIC, ringBase, ringLen, dmaCore uint32) {
 	t.Helper()
 	for _, w := range []struct{ off, val uint32 }{
 		{NICRegRingBase, ringBase},
@@ -34,7 +35,7 @@ func program(t *testing.T, r *Registry, ringBase, ringLen, dmaCore uint32) {
 		{NICRegDMACore, dmaCore},
 		{NICRegCtrl, NICCtrlEnable},
 	} {
-		if err := r.Write32(0, NICMMIOBase+w.off, w.val); err != nil {
+		if err := nic.WriteMMIO(0, NICMMIOBase+w.off, w.val); err != nil {
 			t.Fatalf("program reg %#x: %v", w.off, err)
 		}
 	}
@@ -55,89 +56,150 @@ func readDesc(phys *mem.Physical, ringPA uint32, i int) (length, flags uint16) {
 	return binary.LittleEndian.Uint16(d[4:]), binary.LittleEndian.Uint16(d[6:])
 }
 
+// TestRegistryMMIODispatch checks the NIC's register access: the
+// watchdog check runs as the accessing core before any register is
+// decoded.
 func TestRegistryMMIODispatch(t *testing.T) {
 	nic, _, wd := testNIC()
-	r := NewRegistry(wd)
-	if err := r.Register(nic); err != nil {
-		t.Fatal(err)
-	}
 
 	// Privileged core: full register access.
-	if err := r.Write32(0, NICMMIOBase+NICRegRingLen, 4); err != nil {
+	if err := nic.WriteMMIO(0, NICMMIOBase+NICRegRingLen, 4); err != nil {
 		t.Fatalf("privileged write: %v", err)
 	}
-	v, err := r.Read32(0, NICMMIOBase+NICRegRingLen)
+	v, err := nic.ReadMMIO(0, NICMMIOBase+NICRegRingLen)
 	if err != nil || v != 4 {
 		t.Fatalf("read back %d, %v", v, err)
 	}
 
 	// Resurrectee core reaching for the device window: watchdog
-	// violation before any device sees the access.
-	if _, err := r.Read32(1, NICMMIOBase+NICRegCtrl); err == nil {
+	// violation before the register is touched.
+	if _, err := nic.ReadMMIO(1, NICMMIOBase+NICRegCtrl); err == nil {
 		t.Fatal("unprivileged MMIO read allowed")
 	}
-	if err := r.Write32(1, NICMMIOBase+NICRegCtrl, 1); err == nil {
+	if err := nic.WriteMMIO(1, NICMMIOBase+NICRegCtrl, 1); err == nil {
 		t.Fatal("unprivileged MMIO write allowed")
 	}
 	if wd.Violations() == 0 {
 		t.Fatal("MMIO breach not recorded as a watchdog violation")
 	}
+	if v, _ := nic.ReadMMIO(0, NICMMIOBase+NICRegCtrl); v != 0 {
+		t.Fatal("refused write still enabled the engine")
+	}
 
-	// Unclaimed addresses are dispatch errors, not panics.
-	if _, err := r.Read32(0, 0xE000_0000); err == nil {
-		t.Fatal("read of unclaimed address succeeded")
+	// Addresses outside the register window are errors, not panics.
+	if _, err := nic.ReadMMIO(0, 0xE000_0000); err == nil {
+		t.Fatal("read outside the register window succeeded")
+	}
+	if err := nic.WriteMMIO(0, NICMMIOBase+NICMMIOBytes, 1); err == nil {
+		t.Fatal("write outside the register window succeeded")
 	}
 	// Status register is read-only.
-	if err := r.Write32(0, NICMMIOBase+NICRegStatus, 1); err == nil {
+	if err := nic.WriteMMIO(0, NICMMIOBase+NICRegStatus, 1); err == nil {
 		t.Fatal("write to read-only status register succeeded")
 	}
 }
 
-func TestRegistryRejectsBadWiring(t *testing.T) {
+// platformDevices builds the platform's disk and NIC over one memory
+// and watchdog (testNIC's topology).
+func platformDevices() (*Disk, *NIC) {
 	nic, phys, wd := testNIC()
-	r := NewRegistry(wd)
-	if err := r.Register(nic); err != nil {
+	return NewDisk(phys, wd, nil), nic
+}
+
+// decodeSection decodes b as a device section into a fresh platform,
+// turning a panic into a test failure, and returns the reader's error.
+func decodeSection(t *testing.T, b []byte) error {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("device section decode panicked: %v", p)
+		}
+	}()
+	d, n := platformDevices()
+	r := wire.NewReader(b)
+	DecodeSection(r, d, n)
+	return r.Err()
+}
+
+// TestRegistryRejectsBadWiring checks the snapshot's device section:
+// the platform's own section round-trips, and a section wired any
+// other way (device count, order, names, truncation) is a clean decode
+// error.
+func TestRegistryRejectsBadWiring(t *testing.T) {
+	d, n := platformDevices()
+	d.HostWriteSector(3, []byte("sector three"))
+	n.QueueFrame([]byte("pending"))
+	if err := n.WriteMMIO(0, NICMMIOBase+NICRegRingLen, 2); err != nil {
 		t.Fatal(err)
 	}
-	// Duplicate name.
-	if err := r.Register(NewNIC(phys, wd, nil)); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("duplicate registration: %v", err)
+	var good wire.Writer
+	EncodeSection(&good, d, n)
+
+	// The platform's own section round-trips.
+	d2, n2 := platformDevices()
+	r := wire.NewReader(good.Bytes())
+	DecodeSection(r, d2, n2)
+	if err := r.Close(); err != nil {
+		t.Fatalf("own section: %v", err)
 	}
-	// Overlapping MMIO claim.
-	ov := &fakeMMIO{name: "ov", lo: NICMMIOBase + 0x80, hi: NICMMIOBase + 0x200}
-	if err := r.Register(ov); err == nil || !strings.Contains(err.Error(), "overlaps") {
-		t.Fatalf("overlapping claim: %v", err)
+	var again wire.Writer
+	EncodeSection(&again, d2, n2)
+	if !bytes.Equal(again.Bytes(), good.Bytes()) {
+		t.Fatal("device section changed across a round trip")
 	}
-	// Empty window.
-	if err := r.Register(&fakeMMIO{name: "e", lo: 8, hi: 8}); err == nil {
-		t.Fatal("empty window accepted")
+
+	// section writes a count, then each (name, device state) pair.
+	section := func(count int, devs ...string) []byte {
+		var w wire.Writer
+		w.Len(count)
+		for _, name := range devs {
+			w.String(name)
+			if strings.HasPrefix(name, "disk") {
+				d.EncodeState(&w)
+			} else {
+				n.EncodeState(&w)
+			}
+		}
+		return w.Bytes()
 	}
-	// Disjoint second device is fine.
-	if err := r.Register(&fakeMMIO{name: "ok", lo: 0xE000_0000, hi: 0xE000_0010}); err != nil {
-		t.Fatalf("disjoint claim rejected: %v", err)
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		want string
+	}{
+		{"one device", section(1, "disk0"), "1 devices"},
+		{"three devices", section(3, "disk0", "nic0", "nic1"), "3 devices"},
+		{"nic0 before disk0", section(2, "nic0", "disk0"), `"nic0"`},
+		{"unknown name", section(2, "disk0", "nic9"), `"nic9"`},
+	} {
+		err := decodeSection(t, tc.b)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decode error %v, want one naming %s", tc.name, err, tc.want)
+		}
+	}
+	for cut := 0; cut < len(good.Bytes()); cut++ {
+		if decodeSection(t, good.Bytes()[:cut]) == nil {
+			t.Fatalf("section truncated to %d of %d bytes decoded", cut, len(good.Bytes()))
+		}
 	}
 }
 
 func TestNICDeliversFrame(t *testing.T) {
-	nic, phys, wd := testNIC()
-	r := NewRegistry(wd)
-	if err := r.Register(nic); err != nil {
-		t.Fatal(err)
-	}
+	nic, phys, _ := testNIC()
 	const ringPA, bufPA = 0x20000, 0x30000
 	writeDesc(phys, ringPA, 0, bufPA, 64, NICDescReady)
 	writeDesc(phys, ringPA, 1, bufPA+64, 64, NICDescReady)
-	program(t, r, ringPA, 2, 1)
+	program(t, nic, ringPA, 2, 1)
 
 	frame := []byte("GET / HTTP/1.0\r\n")
 	if !nic.QueueFrame(frame) {
 		t.Fatal("frame refused")
 	}
-	if !r.NeedsPoll() {
-		t.Fatal("pending frame but NeedsPoll false")
+	if !nic.PollPending() {
+		t.Fatal("pending frame but PollPending false")
 	}
 	verBefore := phys.PageVersion(bufPA)
-	r.Poll(1)
+	nic.Poll(1)
 
 	got := make([]byte, len(frame))
 	phys.ReadBytes(bufPA, got)
@@ -156,14 +218,14 @@ func TestNICDeliversFrame(t *testing.T) {
 	if v, _ := nic.ReadMMIO(0, NICMMIOBase+NICRegHead); v != 1 {
 		t.Fatalf("head %d after delivery", v)
 	}
-	if r.NeedsPoll() {
-		t.Fatal("queue drained but NeedsPoll true")
+	if nic.PollPending() {
+		t.Fatal("queue drained but PollPending true")
 	}
 
 	// Not-ready descriptor: the frame waits (stall, no loss).
 	writeDesc(phys, ringPA, 1, bufPA+64, 64, 0)
 	nic.QueueFrame(frame)
-	r.Poll(2)
+	nic.Poll(2)
 	if s := nic.Stats(); s.Stalls != 1 || s.Frames != 1 {
 		t.Fatalf("stall handling: %+v", s)
 	}
@@ -173,16 +235,12 @@ func TestNICDeliversFrame(t *testing.T) {
 }
 
 func TestNICOverrunRejected(t *testing.T) {
-	nic, phys, wd := testNIC()
-	r := NewRegistry(wd)
-	if err := r.Register(nic); err != nil {
-		t.Fatal(err)
-	}
+	nic, phys, _ := testNIC()
 	const ringPA, bufPA = 0x20000, 0x30000
 	writeDesc(phys, ringPA, 0, bufPA, 8, NICDescReady)
-	program(t, r, ringPA, 1, 1)
+	program(t, nic, ringPA, 1, 1)
 	nic.QueueFrame(make([]byte, 64)) // 64 > capacity 8
-	r.Poll(1)
+	nic.Poll(1)
 	if s := nic.Stats(); s.Rejected != 1 || s.Frames != 0 {
 		t.Fatalf("overrun stats %+v", s)
 	}
@@ -195,17 +253,13 @@ func TestNICOverrunRejected(t *testing.T) {
 }
 
 func TestNICDMAInsulation(t *testing.T) {
-	nic, phys, wd := testNIC()
-	r := NewRegistry(wd)
-	if err := r.Register(nic); err != nil {
-		t.Fatal(err)
-	}
+	nic, phys, _ := testNIC()
 	// Buffer aimed at the resurrector's memory: refused, engine lives.
 	const ringPA = 0x20000
 	writeDesc(phys, ringPA, 0, 0x1000, 64, NICDescReady)
-	program(t, r, ringPA, 1, 1)
+	program(t, nic, ringPA, 1, 1)
 	nic.QueueFrame(make([]byte, 16))
-	r.Poll(1)
+	nic.Poll(1)
 	if s := nic.Stats(); s.Rejected != 1 {
 		t.Fatalf("overreach stats %+v", s)
 	}
@@ -218,9 +272,9 @@ func TestNICDMAInsulation(t *testing.T) {
 
 	// Ring itself outside the DMA principal's partition: engine killed.
 	nic.Reset()
-	program(t, r, 0x1000, 1, 1)
+	program(t, nic, 0x1000, 1, 1)
 	nic.QueueFrame(make([]byte, 16))
-	r.Poll(2)
+	nic.Poll(2)
 	if s := nic.Stats(); s.Rejected != 1 {
 		t.Fatalf("rogue-ring stats %+v", s)
 	}
@@ -231,9 +285,9 @@ func TestNICDMAInsulation(t *testing.T) {
 	// Ring beyond physical memory with a privileged DMA principal:
 	// refused by the bounds check, not a slice panic.
 	nic.Reset()
-	program(t, r, 0xFFFF_FFF0, 1, 0)
+	program(t, nic, 0xFFFF_FFF0, 1, 0)
 	nic.QueueFrame(make([]byte, 16))
-	r.Poll(3)
+	nic.Poll(3)
 	if s := nic.Stats(); s.Rejected != 1 {
 		t.Fatalf("out-of-range ring stats %+v", s)
 	}
@@ -290,21 +344,3 @@ func TestNICSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("oversized ring length decoded")
 	}
 }
-
-// fakeMMIO is a minimal MMIOHandler for wiring tests.
-type fakeMMIO struct {
-	name   string
-	lo, hi uint32
-}
-
-func (f *fakeMMIO) Name() string                 { return f.name }
-func (f *fakeMMIO) Start()                       {}
-func (f *fakeMMIO) Stop()                        {}
-func (f *fakeMMIO) Reset()                       {}
-func (f *fakeMMIO) EncodeState(*wire.Writer)     {}
-func (f *fakeMMIO) DecodeState(*wire.Reader)     {}
-func (f *fakeMMIO) MMIORegion() (uint32, uint32) { return f.lo, f.hi }
-func (f *fakeMMIO) ReadMMIO(int, uint32) (uint32, error) {
-	return 0xDEAD, nil
-}
-func (f *fakeMMIO) WriteMMIO(int, uint32, uint32) error { return nil }

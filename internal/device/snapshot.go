@@ -6,6 +6,41 @@ import (
 	"indra/internal/snapshot/wire"
 )
 
+// EncodeSection writes the snapshot's device section: the device
+// count, then each device's name and state, disk first. The name tags
+// make a section from a differently wired platform fail decode loudly
+// rather than hand one device another's state.
+func EncodeSection(w *wire.Writer, d *Disk, n *NIC) {
+	w.Len(2)
+	w.String(d.Name())
+	d.EncodeState(w)
+	w.String(n.Name())
+	n.EncodeState(w)
+}
+
+// DecodeSection restores a section written by EncodeSection into the
+// platform's disk and NIC in place, failing r unless it holds exactly
+// those two devices in that order.
+func DecodeSection(r *wire.Reader, d *Disk, n *NIC) {
+	if cnt := r.Len(1); r.Err() == nil && cnt != 2 {
+		r.Failf("device: snapshot has %d devices, platform has 2", cnt)
+	}
+	decodeTagged(r, d.Name(), d.DecodeState)
+	decodeTagged(r, n.Name(), n.DecodeState)
+}
+
+// decodeTagged reads one device's name tag and, if it is want, the
+// device's state. A failed reader reads nothing more (wire.Reader
+// latches its first error), so a bad count skips both devices.
+func decodeTagged(r *wire.Reader, want string, decode func(*wire.Reader)) {
+	if name := r.String(); r.Err() == nil && name != want {
+		r.Failf("device: snapshot device %q, platform expects %q", name, want)
+	}
+	if r.Err() == nil {
+		decode(r)
+	}
+}
+
 // EncodeState writes the sector store (ascending sector order) and
 // counters. The memory, watchdog and cost wiring are boot-time
 // references owned by the chip.

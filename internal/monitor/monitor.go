@@ -291,10 +291,6 @@ func (m *Monitor) Stats() Stats {
 	return Stats{Records: rec, Violations: m.violations, Cycles: m.cycles}
 }
 
-// RecordCount returns the number of records of one kind verified so far
-// (allocation-free; Stats builds the full map).
-func (m *Monitor) RecordCount(k trace.Kind) uint64 { return m.records[k] }
-
 // ShadowDepth returns the shadow stack depth for a (core, pid).
 func (m *Monitor) ShadowDepth(core, pid int) int {
 	if s := m.shadows[shadowKey{core, pid}]; s != nil {

@@ -71,9 +71,6 @@ func (fs *FS) Back(store BlockStore, base uint32) {
 	}
 }
 
-// Backed reports whether a block store is attached.
-func (fs *FS) Backed() bool { return fs.store != nil }
-
 // Extent returns a file's on-store location (zero, false when the FS
 // is unbacked or the file unknown).
 func (fs *FS) Extent(name string) (Extent, bool) {

@@ -1,12 +1,14 @@
 // Package tlb models the translation lookaside buffers of Table 4
-// (4-way, 128-entry I-TLB and 256-entry D-TLB) and the paper's INDRA
-// extension: each TLB entry carries its page's backup page record so
-// the delta checkpoint hardware can consult the dirty/rollback
-// bitvectors without a memory walk (Figure 3).
+// (4-way, 128-entry I-TLB and 256-entry D-TLB) for timing only. An
+// entry holds a virtual page number, a valid bit and an LRU stamp;
+// Stats counts accesses, misses and the page-table walk cycles the
+// misses cost. Translation itself is functional (the OS-lite page
+// tables are authoritative).
 //
-// Translation itself is functional (the OS-lite page tables are
-// authoritative); the TLB exists for timing — a miss costs a modelled
-// page-table walk — and for the backup-record reach statistics.
+// The paper's INDRA extension has each TLB entry carry its page's
+// backup page record (Figure 3). This model does not: the records live
+// in checkpoint.Engine's page map, which the delta engine consults
+// directly, at no modelled lookup cost.
 package tlb
 
 import "fmt"

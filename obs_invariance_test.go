@@ -184,7 +184,8 @@ func TestMetricsEverySnapshots(t *testing.T) {
 
 // TestHeartbeatEscalationMetrics is the regression for the mid-run
 // protection-stats fix: a heartbeat escalation must show up in the
-// registry (not only in ProtectionStats after Run returns), and the
+// collector's snapshots (not only in ProtectionStats after Run
+// returns), and the
 // tracer's "heartbeat-escalation" instants must carry exactly the
 // cycles the protection log records.
 func TestHeartbeatEscalationMetrics(t *testing.T) {
@@ -220,12 +221,12 @@ func TestHeartbeatEscalationMetrics(t *testing.T) {
 	if st.MacroEscalations == 0 {
 		t.Fatal("stall storm produced no macro escalations; test premise broken")
 	}
-	reg := col.Registry()
-	if got := reg.Counter("chip.macro_escalations").Value(); got != st.MacroEscalations {
-		t.Errorf("registry chip.macro_escalations = %d, ProtectionStats = %d", got, st.MacroEscalations)
+	final := col.Final().Counters
+	if got := final["chip.macro_escalations"]; got != st.MacroEscalations {
+		t.Errorf("final snapshot chip.macro_escalations = %d, ProtectionStats = %d", got, st.MacroEscalations)
 	}
-	if got := reg.Counter("chip.heartbeat_misses").Value(); got != st.HeartbeatMisses {
-		t.Errorf("registry chip.heartbeat_misses = %d, ProtectionStats = %d", got, st.HeartbeatMisses)
+	if got := final["chip.heartbeat_misses"]; got != st.HeartbeatMisses {
+		t.Errorf("final snapshot chip.heartbeat_misses = %d, ProtectionStats = %d", got, st.HeartbeatMisses)
 	}
 
 	// Every escalation instant's cycle stamp must match a protection-log
