@@ -250,11 +250,11 @@ func runDeviceCell(o ExpOptions, scenario string, rate float64, seedBase uint64)
 		if err := drive(25_000_000); err != nil {
 			return DeviceRow{}, err
 		}
-		ext, ok := ch.Kernel().FS().Extent("bin/httpd")
+		bin, ok := ch.Kernel().FS().Lookup("bin/httpd")
 		if !ok {
-			return DeviceRow{}, fmt.Errorf("faultsweep: bin/httpd has no disk extent")
+			return DeviceRow{}, fmt.Errorf("faultsweep: no bin/httpd on the fs")
 		}
-		sec := ext.Start + dt.TextOff/device.SectorBytes
+		sec := bin.Start + dt.TextOff/device.SectorBytes
 		buf := ch.Disk().Peek(sec)
 		binary.LittleEndian.PutUint32(buf[dt.TextOff%device.SectorBytes:], dt.NewWord)
 		ch.Disk().HostWriteSector(sec, buf)

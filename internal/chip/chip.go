@@ -408,30 +408,24 @@ func (c *Chip) bootSequence() {
 		resLo, resHi, teeLo, teeHi)
 	b.log("BIOS duplicated into resurrectee space; security parameters set")
 
-	// The resurrectee kernel allocates frames only from its partition,
-	// so even OS-level corruption cannot mint pointers into the
-	// resurrector's space that pass the watchdog.
-	c.kern = oslite.NewKernel(c.phys, teeLo, teeHi, netMux{c}, hooksMux{c})
-
 	// The resurrector owns both peripherals: every disk DMA is checked
 	// as its originating core, every NIC register access as the core
 	// that made it, and NIC DMA as the principal its driver programmed.
 	c.disk = device.NewDisk(c.phys, c.wd, c.lineCost)
 	c.disk.SetFaults(c.inj, func() uint64 { return c.cores[c.activeIdx].Cycles() })
-	c.kern.AttachDisk(c.disk)
+
+	// The resurrectee kernel allocates frames only from its partition,
+	// so even OS-level corruption cannot mint pointers into the
+	// resurrector's space that pass the watchdog. Its files live on the
+	// disk.
+	c.kern = oslite.NewKernel(c.phys, teeLo, teeHi, c.disk, netMux{c}, hooksMux{c})
 	b.log("block device attached; DMA descriptors watchdog-checked per originating core")
 	c.nic = device.NewNIC(c.phys, c.wd, c.inj)
-	c.kern.FS().Back(c.disk, FSBackingBaseSector)
 	b.log("nic registered at MMIO [%#x,%#x); fs backed by disk sectors %d+",
-		device.NICMMIOBase, device.NICMMIOBase+device.NICMMIOBytes, uint32(FSBackingBaseSector))
+		device.NICMMIOBase, device.NICMMIOBase+device.NICMMIOBytes, uint32(oslite.FSBaseSector))
 	b.log("resurrectee cores released; OS-lite booted on cores %d..%d (%d resurrector(s))",
 		nRes, nRes+c.cfg.Resurrectees-1, nRes)
 }
-
-// FSBackingBaseSector is the first sector the backed fs allocates file
-// extents from; sectors below it stay free for the applications' raw
-// disk syscalls (which address low sector numbers).
-const FSBackingBaseSector = 1 << 20
 
 // DevicePollInterval is how often (in per-core instructions) the run
 // loop gives pollable devices a turn while they have pending work.
@@ -539,8 +533,8 @@ func (c *Chip) LaunchService(slot int, name string, prog *asm.Program, port *net
 	st.ports = append(st.ports, port)
 	st.ctxs = append(st.ctxs, c.kern.InitialContext(p))
 
-	// The binary lands on disk sectors (bootSequence backs the fs):
-	// the image RespawnFromDisk reloads.
+	// The binary lands on disk sectors: the image RespawnFromDisk
+	// reloads.
 	c.kern.WriteFile("bin/"+name, prog.Text)
 
 	// The first process launched on a slot owns the core; further

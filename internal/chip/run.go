@@ -11,9 +11,6 @@ import (
 	"indra/internal/trace"
 )
 
-// activeIdx tracks which resurrectee slot is currently executing a
-// syscall, so the kernel's network and hook muxes can route. The chip
-// steps cores one at a time, so a single field suffices.
 func newITLB() *tlb.TLB { return tlb.New(tlb.DefaultITLB()) }
 func newDTLB() *tlb.TLB { return tlb.New(tlb.DefaultDTLB()) }
 
@@ -32,7 +29,6 @@ func (c *Chip) syscall(idx int, core *cpu.Core, num int) (uint64, error) {
 	case oslite.SysDynCode:
 		lo := core.Reg(1)
 		c.mon.RegisterDynCode(p.PID, monitor.Region{Lo: lo, Hi: lo + core.Reg(2)})
-		p.DynCode = append(p.DynCode, oslite.Region{Lo: lo, Hi: lo + core.Reg(2)})
 	}
 	cycles, err := c.kern.Syscall(p, core, num)
 	if p.Halted {

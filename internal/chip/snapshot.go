@@ -66,10 +66,12 @@ func decodeContext(r *wire.Reader) oslite.Context {
 // wiring (sinks are process-local, not chip state).
 func (c *Chip) EncodeState(w *wire.Writer) {
 	c.phys.EncodeState(w)
+	// The disk's sectors come before the kernel, whose fs decode checks
+	// its extents against them.
+	device.EncodeSection(w, c.disk, c.nic)
 	c.kern.EncodeState(w)
 	c.dram.EncodeState(w)
 	c.wd.EncodeState(w)
-	device.EncodeSection(w, c.disk, c.nic)
 	c.mon.EncodeState(w)
 	c.rec.EncodeState(w)
 
@@ -194,10 +196,10 @@ const violationWireMin = 1 + trace.RecordWireBytes + 4
 // probes.
 func (c *Chip) DecodeState(r *wire.Reader) {
 	c.phys.DecodeState(r)
+	device.DecodeSection(r, c.disk, c.nic)
 	c.kern.DecodeState(r)
 	c.dram.DecodeState(r)
 	c.wd.DecodeState(r)
-	device.DecodeSection(r, c.disk, c.nic)
 	c.mon.DecodeState(r)
 	c.rec.DecodeState(r)
 

@@ -128,10 +128,10 @@ func (d *Disk) Peek(sector uint32) []byte {
 
 // HostWriteSector stores one sector from the host side, bypassing the
 // DMA engine entirely: no watchdog check, no cycles, no stats. This is
-// the platform back door the storage-backed fs uses to persist file
-// mutations (which are already priced by the syscall layer) — and the
-// surface a disk-tamper attack scenario uses to corrupt a binary at
-// rest. data longer than a sector is truncated; shorter is copied and
+// the platform back door the oslite fs keeps its files through (their
+// writes are already priced by the syscall layer) — and the surface a
+// disk-tamper attack scenario uses to corrupt a binary at rest. data
+// longer than a sector is truncated; shorter is copied and
 // zero-padded.
 //
 // A full sector is kept as a view of data, not a copy, so the caller

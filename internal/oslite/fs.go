@@ -7,134 +7,56 @@ import (
 	"indra/internal/device"
 )
 
-// File is an in-memory file.
-type File struct {
-	Name string
-	Data []byte
-}
-
-// BlockStore is the storage a backed FS persists file contents on.
-// device.Disk implements it: HostWriteSector/Peek are the host-side
-// (zero-cycle) sector access the platform uses below the DMA engine.
-//
-// HostWriteSector may keep a full sector as a view of the bytes it is
-// given, not a copy. So no file writer mutates bytes in place: a write
-// replaces File.Data with a fresh slice, and an append lands past the
-// bytes already flushed.
-type BlockStore interface {
-	HostWriteSector(sector uint32, data []byte)
-	Peek(sector uint32) []byte
-}
-
-// SectorBytes is the block store's sector size.
+// SectorBytes is the disk's sector size.
 const SectorBytes = device.SectorBytes
 
-// Extent records where one file lives on the block store.
-type Extent struct {
+// FSBaseSector is the first sector the fs allocates file extents from;
+// sectors below it stay free for the applications' raw disk syscalls
+// (which address low sector numbers).
+const FSBaseSector = 1 << 20
+
+// File is one file's record: its name and its extent on the disk,
+// whose sectors hold the only copy of its bytes.
+type File struct {
+	Name   string
 	Start  uint32 // first sector
 	Count  uint32 // sectors reserved
 	Length uint32 // valid bytes
 }
 
-// FS is the in-memory file system shared by all processes on a
-// resurrectee's OS instance. Per the paper's recovery model (Section
-// 3.3.3), file *contents* are never rolled back — writes already issued
-// are considered verified by the monitor synchronisation rule — but
+// FS is the file system shared by all processes on a resurrectee's OS
+// instance. Per the paper's recovery model (Section 3.3.3), file
+// *contents* are never rolled back — writes already issued are
+// considered verified by the monitor synchronisation rule — but
 // descriptors opened after a checkpoint are closed during recovery.
 //
-// A backed FS (Back) additionally persists every file on a block
-// store: mutations write through whole-file, opens re-read the on-disk
-// extent, so the sectors — not the in-memory cache — are the truth a
-// tampered binary is reloaded from. Extents come from a bump allocator
-// that never frees: a grown file moves to a fresh extent and orphans
-// the old one, which keeps allocation deterministic and trivially
-// snapshot-stable.
+// Every read and write goes to the platform disk's sectors, so the
+// sectors, tampered or not, are what a binary is reloaded from. Extents
+// come from a bump allocator that never frees: a file that outgrows
+// its extent moves to a fresh one and orphans the old, so every sector
+// keeps its bytes and allocation stays deterministic. The disk keeps a
+// full sector as a view of the bytes written (Disk.HostWriteSector), so
+// no sector is patched in place: a partly written one is rebuilt in a
+// fresh buffer.
 type FS struct {
-	files      map[string]*File
-	store      BlockStore
-	extents    map[string]Extent
-	nextSector uint32
+	disk  *device.Disk
+	files map[string]*File
+	next  uint32 // first unallocated sector
 }
 
-// NewFS creates an empty file system.
-func NewFS() *FS { return &FS{files: make(map[string]*File)} }
-
-// Back arms block-store write-through with extents allocated from base
-// upward, and flushes every existing file. Sector numbers below base
-// stay free for the application's raw disk syscalls.
-func (fs *FS) Back(store BlockStore, base uint32) {
-	fs.store = store
-	fs.extents = make(map[string]Extent)
-	fs.nextSector = base
-	for _, name := range fs.Names() {
-		fs.Flush(name)
-	}
+func newFS(disk *device.Disk) *FS {
+	return &FS{disk: disk, files: make(map[string]*File), next: FSBaseSector}
 }
 
-// Extent returns a file's on-store location (zero, false when the FS
-// is unbacked or the file unknown).
-func (fs *FS) Extent(name string) (Extent, bool) {
-	e, ok := fs.extents[name]
-	return e, ok
-}
-
-// Flush writes a file's contents through to the block store,
-// allocating a larger extent when the file outgrew its current one.
-// No-op on an unbacked FS.
-func (fs *FS) Flush(name string) {
-	if fs.store == nil {
-		return
-	}
-	f, ok := fs.files[name]
-	if !ok {
-		return
-	}
-	need := (uint32(len(f.Data)) + SectorBytes - 1) / SectorBytes
-	e, ok := fs.extents[name]
-	if !ok || need > e.Count {
-		e = Extent{Start: fs.nextSector, Count: need}
-		fs.nextSector += need
-	}
-	e.Length = uint32(len(f.Data))
-	fs.extents[name] = e
-	for i := uint32(0); i < need; i++ {
-		lo := i * SectorBytes
-		hi := lo + SectorBytes
-		if hi > e.Length {
-			hi = e.Length
-		}
-		fs.store.HostWriteSector(e.Start+i, f.Data[lo:hi])
-	}
-}
-
-// Refresh re-reads a file's contents from its on-store extent,
-// making sector-level changes (including tampering below the fs layer)
-// visible to the next consumer. No-op on an unbacked FS or a file
-// without an extent.
-func (fs *FS) Refresh(name string) {
-	if fs.store == nil {
-		return
-	}
-	f, ok := fs.files[name]
-	if !ok {
-		return
-	}
-	e, ok := fs.extents[name]
-	if !ok {
-		return
-	}
-	data := make([]byte, e.Length)
-	for i := uint32(0); i*SectorBytes < e.Length; i++ {
-		copy(data[i*SectorBytes:], fs.store.Peek(e.Start+i))
-	}
-	f.Data = data
-}
-
-// Create makes (or truncates) a file and returns it.
+// Create makes an empty file, or truncates an existing one, and
+// returns it.
 func (fs *FS) Create(name string) *File {
-	f := &File{Name: name}
-	fs.files[name] = f
-	fs.Flush(name)
+	f, ok := fs.files[name]
+	if !ok {
+		f = &File{Name: name, Start: fs.next}
+		fs.files[name] = f
+	}
+	f.Length = 0
 	return f
 }
 
@@ -142,14 +64,6 @@ func (fs *FS) Create(name string) *File {
 func (fs *FS) Lookup(name string) (*File, bool) {
 	f, ok := fs.files[name]
 	return f, ok
-}
-
-// Put installs a file with contents (test/workload setup).
-func (fs *FS) Put(name string, data []byte) *File {
-	f := &File{Name: name, Data: data}
-	fs.files[name] = f
-	fs.Flush(name)
-	return f
 }
 
 // Names returns all file names, sorted.
@@ -162,11 +76,58 @@ func (fs *FS) Names() []string {
 	return out
 }
 
+// read returns a copy of up to n of f's bytes from offset off: none at
+// or past the end.
+func (fs *FS) read(f *File, off, n uint32) []byte {
+	if off >= f.Length {
+		return nil
+	}
+	out := make([]byte, min(n, f.Length-off))
+	for i := 0; i < len(out); {
+		pos := off + uint32(i)
+		i += copy(out[i:], fs.disk.Peek(f.Start + pos/SectorBytes)[pos%SectorBytes:])
+	}
+	return out
+}
+
+// write stores data at offset off of f and ends the file after it; an
+// offset past the end writes at the end. It returns the new length. A
+// file that outgrows its extent moves to a fresh one, taking the whole
+// sectors before off along.
+func (fs *FS) write(f *File, off uint32, data []byte) uint32 {
+	off = min(off, f.Length)
+	end := off + uint32(len(data))
+	old := f.Start
+	if need := (end + SectorBytes - 1) / SectorBytes; need > f.Count {
+		f.Start, f.Count = fs.next, need
+		fs.next += need
+		for s := uint32(0); s < off/SectorBytes; s++ {
+			fs.disk.HostWriteSector(f.Start+s, fs.disk.Peek(old+s))
+		}
+	}
+	f.Length = end
+	for s := off / SectorBytes; s*SectorBytes < end; s++ {
+		lo, hi := s*SectorBytes, min((s+1)*SectorBytes, end)
+		if lo >= off && hi-lo == SectorBytes {
+			fs.disk.HostWriteSector(f.Start+s, data[lo-off:hi-off])
+			continue
+		}
+		// A partly written sector keeps its bytes before off and is
+		// zero past the end. Peek returns a copy, so no stored sector
+		// changes.
+		buf := fs.disk.Peek(old + s)
+		clear(buf[max(lo, off)-lo:])
+		copy(buf[max(lo, off)-lo:], data[max(lo, off)-off:hi-off])
+		fs.disk.HostWriteSector(f.Start+s, buf)
+	}
+	return end
+}
+
 // Descriptor is an open-file handle with an independent offset.
 type Descriptor struct {
 	FD     int
 	File   *File
-	Offset int
+	Offset uint32
 	Append bool
 }
 

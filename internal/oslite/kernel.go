@@ -116,15 +116,15 @@ type Kernel struct {
 	// msgs are the kernel's IPC message queues; per Section 3.3.3 they
 	// are never rolled back.
 	msgs map[uint32][]uint32
-	// AuditLog receives SysLog output; it survives recovery by design.
+	// auditLog receives SysLog output; it survives recovery by design.
 	auditLog *File
 }
 
 // NewKernel creates a kernel over the physical memory region
 // [regionLo, regionHi) — the partition the resurrector assigned to this
-// resurrectee during boot.
-func NewKernel(phys *mem.Physical, regionLo, regionHi uint32, net NetPort, hooks Hooks) *Kernel {
-	fs := NewFS()
+// resurrectee during boot — with its file system on disk.
+func NewKernel(phys *mem.Physical, regionLo, regionHi uint32, disk *device.Disk, net NetPort, hooks Hooks) *Kernel {
+	fs := newFS(disk)
 	return &Kernel{
 		phys:     phys,
 		alloc:    mem.NewFrameAllocator(regionLo, regionHi),
@@ -134,6 +134,7 @@ func NewKernel(phys *mem.Physical, regionLo, regionHi uint32, net NetPort, hooks
 		nextPID:  100,
 		net:      net,
 		hooks:    hooks,
+		disk:     disk,
 		msgs:     make(map[uint32][]uint32),
 		auditLog: fs.Create("audit.log"),
 	}
@@ -142,43 +143,30 @@ func NewKernel(phys *mem.Physical, regionLo, regionHi uint32, net NetPort, hooks
 // FS exposes the kernel's file system for workload setup and checks.
 func (k *Kernel) FS() *FS { return k.fs }
 
-// WriteFile installs a file kernel-side (platform/boot path: service
-// binaries land in the fs before the service starts). On a backed FS
-// the contents write through to sectors. The file holds data itself,
-// capped at its length, not a copy: the caller must not mutate data
-// afterwards, and no file writer mutates bytes in place (see
-// BlockStore), so a memoized program image can be shared.
+// WriteFile creates or replaces a file kernel-side (platform/boot path:
+// service binaries land in the fs before the service starts). The disk
+// keeps the file's full sectors as views of data, not copies, so a
+// memoized program image is shared and the caller must not mutate data
+// afterwards.
 func (k *Kernel) WriteFile(name string, data []byte) {
-	k.fs.Put(name, data[:len(data):len(data)])
+	k.fs.write(k.fs.Create(name), 0, data)
 }
 
-// ReadFile returns a copy of a file's current contents, re-reading the
-// backing extent first on a backed FS (so a caller reloading a binary
-// sees the sectors as they are now, tampered or not).
+// ReadFile returns a copy of a file's contents as its sectors hold them
+// now, tampered or not.
 func (k *Kernel) ReadFile(name string) ([]byte, bool) {
-	k.fs.Refresh(name)
 	f, ok := k.fs.Lookup(name)
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), f.Data...), true
+	return k.fs.read(f, 0, f.Length), true
 }
-
-// AttachDisk installs the platform's block device (set by the chip at
-// boot; nil leaves the disk syscalls failing cleanly).
-func (k *Kernel) AttachDisk(d *device.Disk) { k.disk = d }
-
-// Disk returns the attached block device (nil if none).
-func (k *Kernel) Disk() *device.Disk { return k.disk }
 
 // diskTransfer implements the disk syscalls: it validates geometry,
 // runs the checkpoint hooks over the buffer (reads land in tracked
 // application memory; writes may need lazily-restored lines first),
 // translates each sector's VA and issues one DMA descriptor.
 func (k *Kernel) diskTransfer(p *Process, cpu CPU, write bool) (uint64, error) {
-	if k.disk == nil {
-		return 0, &ProcFault{PID: p.PID, Err: fmt.Errorf("no disk attached")}
-	}
 	sector, bufVA, n := cpu.Reg(1), cpu.Reg(2), cpu.Reg(3)
 	if n == 0 || n > MaxDiskSectors {
 		return 0, &ProcFault{PID: p.PID, Err: fmt.Errorf("bad sector count %d", n)}
@@ -453,14 +441,10 @@ func (k *Kernel) Syscall(p *Process, cpu CPU, num int) (uint64, error) {
 		f, ok := k.fs.Lookup(path)
 		if !ok {
 			f = k.fs.Create(path)
-		} else {
-			// On a backed FS the sectors are the truth: re-read the
-			// extent so changes below the fs layer are seen at open.
-			k.fs.Refresh(path)
 		}
 		d := p.fds.insert(f, appendMode)
 		if appendMode {
-			d.Offset = len(f.Data)
+			d.Offset = f.Length
 		}
 		cpu.SetReg(1, uint32(d.FD))
 
@@ -474,20 +458,16 @@ func (k *Kernel) Syscall(p *Process, cpu CPU, num int) (uint64, error) {
 		if err != nil {
 			return cycles, &ProcFault{PID: p.PID, Err: err}
 		}
-		bufVA, n := cpu.Reg(2), int(cpu.Reg(3))
-		avail := len(d.File.Data) - d.Offset
-		if n > avail {
-			n = avail
-		}
-		if n > 0 {
-			c, err := k.copyInTracked(p, bufVA, d.File.Data[d.Offset:d.Offset+n])
+		buf := k.fs.read(d.File, d.Offset, cpu.Reg(3))
+		if len(buf) > 0 {
+			c, err := k.copyInTracked(p, cpu.Reg(2), buf)
 			cycles += c
 			if err != nil {
 				return cycles, err
 			}
-			d.Offset += n
+			d.Offset += uint32(len(buf))
 		}
-		cpu.SetReg(1, uint32(n))
+		cpu.SetReg(1, uint32(len(buf)))
 
 	case SysWrite:
 		d, err := p.fds.get(int(cpu.Reg(1)))
@@ -500,11 +480,9 @@ func (k *Kernel) Syscall(p *Process, cpu CPU, num int) (uint64, error) {
 			return cycles, err
 		}
 		// File writes are never rolled back (Section 3.3.3); they were
-		// verified by the SyncPoint above. The capped prefix makes
-		// append copy, so bytes the block store holds never change.
-		d.File.Data = append(d.File.Data[:d.Offset:d.Offset], buf...)
-		d.Offset += len(buf)
-		k.fs.Flush(d.File.Name)
+		// verified by the SyncPoint above. A descriptor that another
+		// descriptor's write left past the end writes at the end.
+		d.Offset = k.fs.write(d.File, d.Offset, buf)
 		cpu.SetReg(1, uint32(len(buf)))
 
 	case SysSpawn:
@@ -519,9 +497,7 @@ func (k *Kernel) Syscall(p *Process, cpu CPU, num int) (uint64, error) {
 		if err != nil {
 			return cycles, err
 		}
-		k.auditLog.Data = append(k.auditLog.Data, buf...)
-		k.auditLog.Data = append(k.auditLog.Data, '\n')
-		k.fs.Flush(k.auditLog.Name)
+		k.fs.write(k.auditLog, k.auditLog.Length, append(buf, '\n'))
 		cpu.SetReg(1, uint32(len(buf)))
 
 	case SysGetPID:
@@ -570,9 +546,6 @@ func (k *Kernel) Syscall(p *Process, cpu CPU, num int) (uint64, error) {
 	}
 	return cycles, nil
 }
-
-// AuditLog returns the audit log file (never rolled back).
-func (k *Kernel) AuditLog() *File { return k.auditLog }
 
 // MessageQueue returns a copy of an IPC queue's contents (tests and
 // introspection).

@@ -3,7 +3,6 @@ package oslite
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"indra/internal/asm"
@@ -166,6 +165,8 @@ _start:
   halt
 `
 
+// testKernel builds a kernel whose fs lives on a disk that lets the
+// syscall core (fakeHooks.CoreID, core 1) DMA anywhere.
 func testKernel(t *testing.T, net NetPort, hooks Hooks) *Kernel {
 	t.Helper()
 	phys := mem.NewPhysical(8 << 20)
@@ -175,7 +176,8 @@ func testKernel(t *testing.T, net NetPort, hooks Hooks) *Kernel {
 	if hooks == nil {
 		hooks = &fakeHooks{}
 	}
-	return NewKernel(phys, 1<<20, 8<<20, net, hooks)
+	disk := device.NewDisk(phys, watchdog.New(watchdog.Config{Privileged: watchdog.CoreMask(1)}), nil)
+	return NewKernel(phys, 1<<20, 8<<20, disk, net, hooks)
 }
 
 func spawnTest(t *testing.T, k *Kernel, withCkpt bool) *Process {
@@ -320,9 +322,8 @@ func TestSyscallFiles(t *testing.T) {
 	if _, err := k.Syscall(p, cpu, SysWrite); err != nil {
 		t.Fatal(err)
 	}
-	f, ok := k.FS().Lookup("out.txt")
-	if !ok || string(f.Data) != "data" {
-		t.Fatalf("file content %q", f.Data)
+	if got, ok := k.ReadFile("out.txt"); !ok || string(got) != "data" {
+		t.Fatalf("file content %q", got)
 	}
 
 	// Read it back through a fresh descriptor.
@@ -442,6 +443,7 @@ func TestAuditLogNeverRolledBack(t *testing.T) {
 	k := testKernel(t, nil, nil)
 	p := spawnTest(t, k, false)
 	cpu := &fakeCPU{}
+	snap := p.SnapshotResources()
 	bufVA := p.Prog.DataBase
 	p.AS.WriteBytes(bufVA, []byte("evil request"))
 	cpu.SetReg(1, bufVA)
@@ -449,8 +451,9 @@ func TestAuditLogNeverRolledBack(t *testing.T) {
 	if _, err := k.Syscall(p, cpu, SysLog); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(k.AuditLog().Data), "evil request") {
-		t.Fatal("audit entry missing")
+	p.RestoreResources(snap)
+	if log, _ := k.ReadFile("audit.log"); string(log) != "evil request\n" {
+		t.Fatalf("audit log %q after a resource rollback", log)
 	}
 }
 
@@ -494,22 +497,31 @@ func TestRegionContains(t *testing.T) {
 }
 
 func TestFS(t *testing.T) {
-	fs := NewFS()
-	fs.Put("a", []byte("x"))
+	k := testKernel(t, nil, nil)
+	fs := k.FS()
+	k.WriteFile("a", []byte("x"))
 	fs.Create("b")
-	if names := fs.Names(); len(names) != 2 || names[0] != "a" {
-		t.Fatalf("names %v", names)
+	if names := fs.Names(); len(names) != 3 || names[0] != "a" || names[2] != "b" {
+		t.Fatalf("names %v, want a, audit.log, b", names)
 	}
 	if _, ok := fs.Lookup("missing"); ok {
 		t.Fatal("phantom file")
+	}
+	// Extents bump from FSBaseSector: the empty audit.log claims none,
+	// a at one sector, and b starts after it.
+	a, _ := fs.Lookup("a")
+	b, _ := fs.Lookup("b")
+	if *a != (File{Name: "a", Start: FSBaseSector, Count: 1, Length: 1}) ||
+		*b != (File{Name: "b", Start: FSBaseSector + 1}) {
+		t.Fatalf("extents a %+v, b %+v", *a, *b)
+	}
+	if got, ok := k.ReadFile("a"); !ok || string(got) != "x" {
+		t.Fatalf("a holds %q", got)
 	}
 }
 
 func TestSyscallDisk(t *testing.T) {
 	k := testKernel(t, nil, nil)
-	phys := k.phys
-	wd := watchdog.New(watchdog.Config{Privileged: watchdog.CoreMask(1)})
-	k.AttachDisk(device.NewDisk(phys, wd, nil))
 	p := spawnTest(t, k, true)
 	cpu := &fakeCPU{}
 
@@ -523,7 +535,7 @@ func TestSyscallDisk(t *testing.T) {
 	if _, err := k.Syscall(p, cpu, SysDiskWr); err != nil {
 		t.Fatal(err)
 	}
-	if got := k.Disk().Peek(3); string(got[:10]) != "persist me" {
+	if got := k.disk.Peek(3); string(got[:10]) != "persist me" {
 		t.Fatalf("disk content %q", got[:10])
 	}
 
@@ -561,13 +573,12 @@ func TestSyscallDisk(t *testing.T) {
 }
 
 // The disk keeps full sectors as views of a file's bytes, so a write
-// into the middle of a backed file must copy: the bytes first passed
-// to WriteFile (a memoized program image, shared across chips) and the
-// sectors flushed before the write keep their contents.
+// into the middle of a file must not patch a sector in place: the
+// bytes first passed to WriteFile (a memoized program image, shared
+// across chips) and the sectors written before keep their contents.
 func TestBackedFileWriteLeavesSharedBytes(t *testing.T) {
 	k := testKernel(t, nil, nil)
-	disk := device.NewDisk(k.phys, watchdog.New(watchdog.Config{}), nil)
-	k.FS().Back(disk, 16)
+	disk := k.disk
 	p := spawnTest(t, k, false)
 	text := make([]byte, 3*SectorBytes)
 	for i := range text {
@@ -575,15 +586,14 @@ func TestBackedFileWriteLeavesSharedBytes(t *testing.T) {
 	}
 	want := bytes.Clone(text)
 	k.WriteFile("bin/t", text)
-	ext, _ := k.FS().Extent("bin/t")
-	var flushed [][]byte
-	for i := uint32(0); i < ext.Count; i++ {
-		flushed = append(flushed, disk.Peek(ext.Start+i))
+	f, _ := k.FS().Lookup("bin/t")
+	var written [][]byte
+	for i := uint32(0); i < f.Count; i++ {
+		written = append(written, disk.Peek(f.Start+i))
 	}
 
 	// A descriptor on the file as WriteFile left it, moved to byte 700
 	// by a read, then a 100-byte write.
-	f, _ := k.FS().Lookup("bin/t")
 	d := p.fds.insert(f, false)
 	cpu := &fakeCPU{}
 	bufVA := p.Prog.DataBase
@@ -605,32 +615,105 @@ func TestBackedFileWriteLeavesSharedBytes(t *testing.T) {
 	if !bytes.Equal(text, want) {
 		t.Fatal("the write changed the bytes passed to WriteFile")
 	}
-	if got := append(want[:700:700], patch...); !bytes.Equal(f.Data, got) {
-		t.Fatalf("file holds %d bytes, want the first 700 then the patch", len(f.Data))
+	got, _ := k.ReadFile("bin/t")
+	if !bytes.Equal(got, append(want[:700:700], patch...)) {
+		t.Fatalf("file holds %d bytes, want the first 700 then the patch", len(got))
 	}
-	// Sector 0 is flushed again with the same bytes, sector 1 with the
-	// patch, and sector 2 lies past the new end and is not rewritten.
+	// Sector 0 keeps its bytes, sector 1 holds the patch, and sector 2
+	// lies past the new end and is not rewritten.
 	for _, i := range []uint32{0, 2} {
-		if !bytes.Equal(disk.Peek(ext.Start+i), flushed[i]) {
+		if !bytes.Equal(disk.Peek(f.Start+i), written[i]) {
 			t.Errorf("sector %d changed", i)
 		}
 	}
 	sec1 := make([]byte, SectorBytes)
-	copy(sec1, f.Data[SectorBytes:])
-	if !bytes.Equal(disk.Peek(ext.Start+1), sec1) {
+	copy(sec1, got[SectorBytes:])
+	if !bytes.Equal(disk.Peek(f.Start+1), sec1) {
 		t.Error("sector 1 does not hold the patched bytes")
 	}
 }
 
+// A disk transfer of no sectors, or into a buffer the process has not
+// mapped, faults the process before the disk is written.
 func TestDiskSyscallWithoutDisk(t *testing.T) {
 	k := testKernel(t, nil, nil)
 	p := spawnTest(t, k, false)
 	cpu := &fakeCPU{}
-	cpu.SetReg(1, 0)
-	cpu.SetReg(2, p.Prog.DataBase)
-	cpu.SetReg(3, 1)
-	if _, err := k.Syscall(p, cpu, SysDiskRd); err == nil {
-		t.Fatal("diskless platform accepted a disk syscall")
+	unmapped := uint32(0x0080_0000)
+	if p.AS.Mapped(unmapped) {
+		t.Fatalf("%#x is mapped", unmapped)
+	}
+	for name, regs := range map[string][3]uint32{
+		"0 sectors":       {0, p.Prog.DataBase, 0},
+		"unmapped buffer": {0, unmapped, 1},
+	} {
+		for _, num := range []int{SysDiskRd, SysDiskWr} {
+			cpu.SetReg(1, regs[0])
+			cpu.SetReg(2, regs[1])
+			cpu.SetReg(3, regs[2])
+			var pf *ProcFault
+			if _, err := k.Syscall(p, cpu, num); !errors.As(err, &pf) {
+				t.Errorf("%s, syscall %d: got %v, want a process fault", name, num, err)
+			}
+		}
+	}
+	if n := k.disk.SectorCount(); n != 0 {
+		t.Errorf("faulted transfers wrote %d sectors", n)
+	}
+}
+
+// Two descriptors on one file: B's write truncates the file under A,
+// whose offset is left past the end. A's next write lands at the end,
+// and a read at or past the end copies nothing; none may panic the
+// host.
+func TestStaleDescriptorPastEnd(t *testing.T) {
+	k := testKernel(t, nil, nil)
+	p := spawnTest(t, k, false)
+	cpu := &fakeCPU{}
+	path, bufVA := p.Prog.DataBase, p.Prog.DataBase+64
+	p.AS.WriteBytes(path, []byte("f\x00"))
+	open := func() uint32 {
+		cpu.SetReg(1, path)
+		cpu.SetReg(2, 0)
+		if _, err := k.Syscall(p, cpu, SysOpen); err != nil {
+			t.Fatal(err)
+		}
+		return cpu.Reg(1)
+	}
+	write := func(fd uint32, b []byte) {
+		p.AS.WriteBytes(bufVA, b)
+		cpu.SetReg(1, fd)
+		cpu.SetReg(2, bufVA)
+		cpu.SetReg(3, uint32(len(b)))
+		if _, err := k.Syscall(p, cpu, SysWrite); err != nil || cpu.Reg(1) != uint32(len(b)) {
+			t.Fatalf("write of %d bytes through fd %d: %d, %v", len(b), fd, cpu.Reg(1), err)
+		}
+	}
+	a := open()
+	write(a, bytes.Repeat([]byte{'a'}, 100))
+	b := open()
+	write(b, []byte("0123456789"))
+	write(a, []byte("tail"))
+	if got, _ := k.ReadFile("f"); string(got) != "0123456789tail" {
+		t.Fatalf("file holds %q, want B's 10 bytes then A's write", got)
+	}
+
+	// B truncates again, to 12 bytes: A (at 14) is past the end and B
+	// at it.
+	write(b, []byte("xy"))
+	for _, fd := range []uint32{a, b} {
+		p.AS.WriteBytes(bufVA, []byte("untouched"))
+		cpu.SetReg(1, fd)
+		cpu.SetReg(2, bufVA)
+		cpu.SetReg(3, 64)
+		if _, err := k.Syscall(p, cpu, SysRead); err != nil || cpu.Reg(1) != 0 {
+			t.Fatalf("read through fd %d returned %d, %v; want 0", fd, int32(cpu.Reg(1)), err)
+		}
+		got := make([]byte, 9)
+		p.AS.ReadBytes(bufVA, got)
+		if string(got) != "untouched" {
+			t.Fatalf("a read through fd %d copied %q", fd, got)
+		}
 	}
 }
 

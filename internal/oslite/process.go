@@ -43,10 +43,6 @@ type Process struct {
 	heap     heapState
 	stack    Region
 
-	// DynCode are declared dynamically-generated code regions
-	// (Section 3.2.2's explicitly reserved self-modifying code space).
-	DynCode []Region
-
 	// CurrentReq is the network request being processed (0 = none).
 	CurrentReq uint64
 

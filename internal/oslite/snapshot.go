@@ -51,78 +51,63 @@ func (as *AddressSpace) DecodeState(r *wire.Reader) {
 	}
 }
 
-// EncodeState writes the file system in sorted name order, then the
-// block-store extent table (empty on an unbacked FS; the store
-// attachment itself is boot-time wiring, and the sector contents are
-// the device's own snapshot).
+// EncodeState writes the extent allocator's next sector, then each
+// file's name and extent in sorted name order. The file bytes are the
+// disk's sectors, which the device section carries.
 func (fs *FS) EncodeState(w *wire.Writer) {
+	w.U32(fs.next)
 	names := fs.Names()
 	w.Len(len(names))
 	for _, n := range names {
+		f := fs.files[n]
 		w.String(n)
-		w.Blob(fs.files[n].Data)
+		w.U32(f.Start)
+		w.U32(f.Count)
+		w.U32(f.Length)
 	}
-
-	backed := make([]string, 0, len(fs.extents))
-	for n := range fs.extents {
-		backed = append(backed, n)
-	}
-	sort.Strings(backed)
-	w.Len(len(backed))
-	for _, n := range backed {
-		e := fs.extents[n]
-		w.String(n)
-		w.U32(e.Start)
-		w.U32(e.Count)
-		w.U32(e.Length)
-	}
-	w.U32(fs.nextSector)
 }
 
-// DecodeState rebuilds the file store in place.
+// DecodeState rebuilds the file table in place, over a disk that
+// already holds its restored sectors. Every sector an extent claims is
+// written when it is claimed, so the allocated span [FSBaseSector,
+// next) is no longer than the disk's sector count and every extent lies
+// inside it: what a file can make ReadFile allocate is bounded by the
+// disk section's own size. On error the table is left as it was.
 func (fs *FS) DecodeState(r *wire.Reader) {
-	n := r.Len(4 + 4)
-	fs.files = make(map[string]*File, n)
+	next := r.U32()
+	n := r.Len(4 + 4 + 4 + 4)
+	if r.Err() != nil {
+		return
+	}
+	if next < FSBaseSector || next-FSBaseSector > uint32(fs.disk.SectorCount()) {
+		r.Failf("oslite: fs allocates up to sector %d, past the disk's %d sectors from %d",
+			next, fs.disk.SectorCount(), FSBaseSector)
+		return
+	}
+	files := make(map[string]*File, n)
 	prev := ""
 	for i := 0; i < n; i++ {
-		name := r.String()
-		data := r.Blob()
+		f := &File{Name: r.String(), Start: r.U32(), Count: r.U32(), Length: r.U32()}
 		if r.Err() != nil {
 			return
 		}
-		if i > 0 && name <= prev {
-			r.Failf("oslite: file names out of order at %q", name)
+		if i > 0 && f.Name <= prev {
+			r.Failf("oslite: file names out of order at %q", f.Name)
 			return
 		}
-		prev = name
-		fs.files[name] = &File{Name: name, Data: data}
+		if uint64(f.Length) > uint64(f.Count)*SectorBytes {
+			r.Failf("oslite: file %q longer (%d) than its %d sectors", f.Name, f.Length, f.Count)
+			return
+		}
+		if f.Start < FSBaseSector || uint64(f.Start)+uint64(f.Count) > uint64(next) {
+			r.Failf("oslite: file %q extent [%d,+%d) outside the allocated sectors [%d,%d)",
+				f.Name, f.Start, f.Count, FSBaseSector, next)
+			return
+		}
+		prev = f.Name
+		files[f.Name] = f
 	}
-
-	n = r.Len(4 + 4 + 4 + 4)
-	fs.extents = make(map[string]Extent, n)
-	prev = ""
-	for i := 0; i < n; i++ {
-		name := r.String()
-		e := Extent{Start: r.U32(), Count: r.U32(), Length: r.U32()}
-		if r.Err() != nil {
-			return
-		}
-		if i > 0 && name <= prev {
-			r.Failf("oslite: extent names out of order at %q", name)
-			return
-		}
-		if _, ok := fs.files[name]; !ok {
-			r.Failf("oslite: extent for missing file %q", name)
-			return
-		}
-		if e.Length > e.Count*SectorBytes {
-			r.Failf("oslite: extent for %q longer (%d) than its %d sectors", name, e.Length, e.Count)
-			return
-		}
-		prev = name
-		fs.extents[name] = e
-	}
-	fs.nextSector = r.U32()
+	fs.files, fs.next = files, next
 }
 
 func (t *descriptorTable) encodeState(w *wire.Writer) {
@@ -133,7 +118,7 @@ func (t *descriptorTable) encodeState(w *wire.Writer) {
 		d := t.open[fd]
 		w.Int(fd)
 		w.String(d.File.Name)
-		w.Int(d.Offset)
+		w.U32(d.Offset)
 		w.Bool(d.Append)
 	}
 }
@@ -143,19 +128,19 @@ func (t *descriptorTable) encodeState(w *wire.Writer) {
 // name, reconstructed here).
 func (t *descriptorTable) decodeState(r *wire.Reader, fs *FS) {
 	t.next = r.Int()
-	n := r.Len(8 + 4 + 8 + 1)
+	n := r.Len(8 + 4 + 4 + 1)
 	t.open = make(map[int]*Descriptor, n)
 	prev := -1
 	for i := 0; i < n; i++ {
 		fd := r.Int()
 		name := r.String()
-		off := r.Int()
+		off := r.U32()
 		appendMode := r.Bool()
 		if r.Err() != nil {
 			return
 		}
-		if fd <= prev || fd >= t.next || off < 0 {
-			r.Failf("oslite: invalid descriptor %d (next %d, offset %d)", fd, t.next, off)
+		if fd <= prev || fd >= t.next {
+			r.Failf("oslite: invalid descriptor %d (next %d)", fd, t.next)
 			return
 		}
 		f, ok := fs.Lookup(name)
@@ -189,11 +174,6 @@ func (p *Process) EncodeState(w *wire.Writer) {
 	}
 	w.U32(p.stack.Lo)
 	w.U32(p.stack.Hi)
-	w.Len(len(p.DynCode))
-	for _, reg := range p.DynCode {
-		w.U32(reg.Lo)
-		w.U32(reg.Hi)
-	}
 	w.U64(p.CurrentReq)
 	w.Bool(p.Halted)
 }
@@ -221,12 +201,6 @@ func (k *Kernel) decodeProcess(r *wire.Reader) *Process {
 	}
 	p.stack.Lo = r.U32()
 	p.stack.Hi = r.U32()
-	n = r.Len(8)
-	for i := 0; i < n; i++ {
-		lo := r.U32()
-		hi := r.U32()
-		p.DynCode = append(p.DynCode, Region{Lo: lo, Hi: hi})
-	}
 	p.CurrentReq = r.U64()
 	p.Halted = r.Bool()
 	return p

@@ -7,6 +7,7 @@ import (
 	"indra/internal/cache"
 	"indra/internal/checkpoint"
 	"indra/internal/cpu"
+	"indra/internal/device"
 	"indra/internal/mem"
 	"indra/internal/monitor"
 	"indra/internal/oslite"
@@ -49,7 +50,8 @@ func (nullHooks) CoreID() int                               { return 1 }
 func newFixture(t *testing.T, cfg Config) *fixture {
 	t.Helper()
 	phys := mem.NewPhysical(16 << 20)
-	kern := oslite.NewKernel(phys, 1<<20, 16<<20, nullNet{}, nullHooks{})
+	wd := watchdog.New(watchdog.Config{Privileged: watchdog.CoreMask(1)})
+	kern := oslite.NewKernel(phys, 1<<20, 16<<20, device.NewDisk(phys, wd, nil), nullNet{}, nullHooks{})
 	prog, err := asm.Assemble("_start:\n halt\n")
 	if err != nil {
 		t.Fatal(err)
@@ -68,11 +70,9 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 		t.Fatal(err)
 	}
 	core := cpu.New(cpu.Config{
-		ID:   1,
-		Phys: phys,
-		Watchdog: watchdog.New(watchdog.Config{
-			Privileged: watchdog.CoreMask(1),
-		}),
+		ID:        1,
+		Phys:      phys,
+		Watchdog:  wd,
 		Hierarchy: cache.NewHierarchy(cache.DefaultHierarchyConfig(), nil),
 		ITLB:      tlb.New(tlb.DefaultITLB()),
 		DTLB:      tlb.New(tlb.DefaultDTLB()),

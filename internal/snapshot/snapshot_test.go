@@ -2,9 +2,11 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +14,8 @@ import (
 	"indra/internal/chip"
 	"indra/internal/faultinject"
 	"indra/internal/netsim"
+	"indra/internal/oslite"
+	"indra/internal/snapshot/wire"
 	"indra/internal/workload"
 )
 
@@ -207,12 +211,12 @@ func TestRestoredChipFinishesIdentically(t *testing.T) {
 }
 
 // TestSnapshotStoresEachImageOnce pins where a snapshot keeps each
-// service's program image: the text twice (the kernel's process record
-// and the fs file bin/<name>) and the data once (the process record).
-// Memory pages and disk sectors are framed per page and per sector, so
-// a whole image never matches inside them. The inputs are post-boot
-// chips with one and two services, and a bind chip after two
-// reboot-recovery restarts, whose replaced processes must be gone.
+// service's program image: the text and the data once each as a whole,
+// in the kernel's process record. The fs file bin/<name> lives on disk
+// sectors, and memory pages and disk sectors are framed per page and
+// per sector, so a whole image never matches inside them. The inputs
+// are post-boot chips with one and two services, and a bind chip after
+// two reboot-recovery restarts, whose replaced processes must be gone.
 func TestSnapshotStoresEachImageOnce(t *testing.T) {
 	boot := func(cfg chip.Config, services ...string) *chip.Chip {
 		cfg.Resurrectees = len(services)
@@ -261,8 +265,8 @@ func TestSnapshotStoresEachImageOnce(t *testing.T) {
 		blob := Save(ch)
 		for slot := 0; slot < ch.Config().Resurrectees; slot++ {
 			prog := ch.Process(slot).Prog
-			if n := bytes.Count(blob, prog.Text); n != 2 {
-				t.Errorf("%s: slot %d text stored %d times, want 2", name, slot, n)
+			if n := bytes.Count(blob, prog.Text); n != 1 {
+				t.Errorf("%s: slot %d text stored %d times, want 1", name, slot, n)
 			}
 			if n := bytes.Count(blob, prog.Data); n != 1 {
 				t.Errorf("%s: slot %d data stored %d times, want 1", name, slot, n)
@@ -376,4 +380,128 @@ func TestLoadHostileMemorySize(t *testing.T) {
 		t.Errorf("the failed Load left %d bytes of live heap", n)
 	}
 	runtime.KeepAlive(hostile)
+}
+
+// TestLoadRejectsBadFSSection decodes fs sections built from a
+// post-boot httpd chip's file table, each with one fault, into that
+// chip's fs over its restored disk. Each must fail with an error naming
+// the fault, leave the table as it was and allocate little beyond the
+// section; the chip's own section must round-trip byte for byte. The
+// last case rewrites bin/httpd's extent to 64 MiB inside a whole
+// snapshot and takes it through Load.
+func TestLoadRejectsBadFSSection(t *testing.T) {
+	ch := launch(t, chip.DefaultConfig(), "httpd", 0)
+	fs := ch.Kernel().FS()
+	encode := func() []byte {
+		var w wire.Writer
+		fs.EncodeState(&w)
+		return w.Bytes()
+	}
+	own := encode()
+	next := binary.LittleEndian.Uint32(own)
+	var files []oslite.File
+	bin := -1
+	for i, n := range fs.Names() {
+		f, _ := fs.Lookup(n)
+		files = append(files, *f)
+		if n == "bin/httpd" {
+			bin = i
+		}
+	}
+	if bin < 0 || len(files) < 2 {
+		t.Fatalf("fs holds %v, want audit.log and bin/httpd", fs.Names())
+	}
+	section := func(next uint32, files []oslite.File) []byte {
+		var w wire.Writer
+		w.U32(next)
+		w.Len(len(files))
+		for _, f := range files {
+			w.String(f.Name)
+			w.U32(f.Start)
+			w.U32(f.Count)
+			w.U32(f.Length)
+		}
+		return w.Bytes()
+	}
+	withBin := func(edit func(f *oslite.File)) []oslite.File {
+		out := slices.Clone(files)
+		edit(&out[bin])
+		return out
+	}
+	decode := func(b []byte) error {
+		r := wire.NewReader(b)
+		fs.DecodeState(r)
+		return r.Close()
+	}
+
+	if !bytes.Equal(section(next, files), own) {
+		t.Fatal("the hand-built section differs from the chip's own")
+	}
+	if err := decode(own); err != nil {
+		t.Fatalf("the chip's own section: %v", err)
+	}
+	if got := encode(); !bytes.Equal(got, own) {
+		t.Fatal("the chip's own section does not round-trip")
+	}
+
+	sectors := uint32(ch.Disk().SectorCount())
+	for _, tc := range []struct {
+		name, want string
+		b          []byte
+	}{
+		{"names out of order", "out of order",
+			section(next, append([]oslite.File{files[1], files[0]}, files[2:]...))},
+		{"length past its sectors", "longer",
+			section(next, withBin(func(f *oslite.File) { f.Length = f.Count*oslite.SectorBytes + 1 }))},
+		{"sector bytes overflow 32 bits", "outside the allocated sectors",
+			section(next, withBin(func(f *oslite.File) { f.Count, f.Length = 1<<23+1, 1000 }))},
+		{"extent below the base", "outside the allocated sectors",
+			section(next, withBin(func(f *oslite.File) { f.Start = oslite.FSBaseSector - 1 }))},
+		{"extent past next", "outside the allocated sectors",
+			section(next, withBin(func(f *oslite.File) { f.Start = next - f.Count + 1 }))},
+		{"next past the disk", "past the disk",
+			section(oslite.FSBaseSector+sectors+1, files)},
+		{"next below the base", "past the disk",
+			section(oslite.FSBaseSector-1, files)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode(tc.b)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decode error %v, want %q", tc.name, err, tc.want)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > uint64(len(tc.b))+4<<10 {
+			t.Errorf("%s: decoding %d bytes allocated %d", tc.name, len(tc.b), n)
+		}
+		if got := encode(); !bytes.Equal(got, own) {
+			t.Errorf("%s: the failed decode changed the fs", tc.name)
+		}
+	}
+
+	// bin/httpd claiming 131,072 sectors (64 MiB) in a whole snapshot.
+	blob := Save(ch)
+	if n := bytes.Count(blob, own); n != 1 {
+		t.Fatalf("the fs section occurs %d times in the snapshot", n)
+	}
+	hostile := bytes.Replace(blob, own, section(next, withBin(func(f *oslite.File) {
+		f.Count, f.Length = 1<<17, 64<<20
+	})), 1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := Load(hostile)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		data, _ := c.Kernel().ReadFile("bin/httpd")
+		t.Fatalf("Load accepted a 64 MiB bin/httpd, and ReadFile allocated %d bytes", len(data))
+	}
+	if !strings.Contains(err.Error(), "outside the allocated sectors") {
+		t.Errorf("Load of a 64 MiB bin/httpd: %v", err)
+	}
+	// Rebuilding the chip and decoding its pages and sectors costs about
+	// the input, never the 64 MiB claimed.
+	if n := after.TotalAlloc - before.TotalAlloc; n > 2*uint64(len(hostile)) {
+		t.Errorf("the failed Load of %d bytes allocated %d", len(hostile), n)
+	}
 }

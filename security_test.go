@@ -1,6 +1,7 @@
 package indra
 
 import (
+	"bytes"
 	"testing"
 
 	"indra/internal/attack"
@@ -186,27 +187,51 @@ func TestRepeatedAttacksKeepServiceAlive(t *testing.T) {
 }
 
 // TestAuditLogSurvivesRecovery: per Section 3.3.3, data already written
-// to files (the audit log) is not rolled back.
+// to files is not rolled back. An httpd chip serves two HIO requests,
+// each appending 16 bytes to its spool file, then a DoS late crash the
+// resurrector rolls back, then two more HIO requests: the spool keeps
+// the 32 bytes it held before the rollback and grows past them.
 func TestAuditLogSurvivesRecovery(t *testing.T) {
-	run, err := RunService("httpd", Options{
-		Requests: 4,
-		Attacks:  []attack.Kind{attack.DoSCrash},
+	prog, err := workload.MustByName("httpd").BuildProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hio := func(seed byte) netsim.Request {
+		p := make([]byte, workload.OffBody+32)
+		p[workload.OffOpcode] = workload.HIO
+		p[workload.OffSeed] = seed
+		return netsim.Request{Payload: p, Label: "legit"}
+	}
+	port := netsim.NewPort([]netsim.Request{hio(1), hio(2), attack.NewDoSLateCrash(), hio(3), hio(4)})
+	ch, err := chip.New(chip.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ch.LaunchService(0, "httpd", prog, port); err != nil {
+		t.Fatal(err)
+	}
+	const spool = "spool/httpd.out"
+	var before []byte
+	_, err = ch.RunSegmented(0, 0, 200, func(uint64, bool) error {
+		if before == nil && port.Summarize().Served == 2 {
+			before, _ = ch.Kernel().ReadFile(spool)
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The h_io handler writes to its spool file on some legit requests;
-	// whatever was written before the attack must survive.
-	if run.Summary.Served != 4 {
-		t.Fatalf("summary %+v", run.Summary)
+	sum := port.Summarize()
+	if sum.Served != 4 || sum.Aborted != 1 {
+		t.Fatalf("summary %+v, want 4 served and 1 aborted", sum)
 	}
-	// Recovery happened, and the filesystem was not rolled back: the
-	// spool file (if written) retains its contents. We assert the
-	// mechanism directly: file data lengths never shrink across the run
-	// (nothing ever truncates them).
-	for _, name := range run.Chip.Kernel().FS().Names() {
-		f, _ := run.Chip.Kernel().FS().Lookup(name)
-		_ = f // presence is enough; truncation would have panicked Write
+	if n := ch.Recovery().Stats().MicroRecoveries; n != 1 {
+		t.Fatalf("%d micro recoveries, want 1", n)
+	}
+	after, _ := ch.Kernel().ReadFile(spool)
+	if len(before) != 32 || len(after) != 64 || !bytes.Equal(after[:32], before) {
+		t.Fatalf("spool held %d bytes before the rollback and %d after, want 32 kept as the first of 64",
+			len(before), len(after))
 	}
 }
 
