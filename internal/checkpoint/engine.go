@@ -87,6 +87,9 @@ type pageRecord struct {
 	rollbackVld  bool
 	backup       []byte // one physical backup page, allocated on demand
 	everAllocGTS uint64 // GTS at which the backup page was first allocated
+	// touched is the GTS of the last era whose first backup or restore
+	// on this page counted in Stats.DirtyPageTouches.
+	touched uint64
 }
 
 // Stats aggregates engine activity.
@@ -119,11 +122,6 @@ type Engine struct {
 	lineShift uint32
 	pageMask  uint32
 	tamper    Tamperer
-
-	// pageTouchedThisEra tracks whether the DirtyPageTouches counter has
-	// been bumped for a page in the current era, keyed by page VA and
-	// stamped with the GTS value.
-	touchStamp map[uint32]uint64
 }
 
 // NewEngine creates an engine over mem with the given line-copy cost
@@ -141,15 +139,14 @@ func NewEngine(cfg Config, mem Memory, cost CostFunc) (*Engine, error) {
 		ls++
 	}
 	return &Engine{
-		cfg:        cfg,
-		mem:        mem,
-		cost:       cost,
-		gts:        1, // GTS 0 is reserved as "before any checkpoint"
-		pages:      make(map[uint32]*pageRecord),
-		lineBuf:    make([]byte, cfg.LineBytes),
-		lineShift:  ls,
-		pageMask:   cfg.PageBytes - 1,
-		touchStamp: make(map[uint32]uint64),
+		cfg:       cfg,
+		mem:       mem,
+		cost:      cost,
+		gts:       1, // GTS 0 is reserved as "before any checkpoint"
+		pages:     make(map[uint32]*pageRecord),
+		lineBuf:   make([]byte, cfg.LineBytes),
+		lineShift: ls,
+		pageMask:  cfg.PageBytes - 1,
 	}, nil
 }
 
@@ -233,7 +230,7 @@ func (e *Engine) PreStore(va uint32) uint64 {
 		e.restoreLine(rec, page, l)
 		cycles += e.chargeRestore()
 		rec.dirty.Set(l)
-		e.markTouched(page)
+		e.markTouched(rec)
 		return cycles
 	}
 
@@ -251,7 +248,7 @@ func (e *Engine) PreStore(va uint32) uint64 {
 		c := e.cost(e.cfg.LineBytes)
 		e.stats.BackupCycles += c
 		cycles += c
-		e.markTouched(page)
+		e.markTouched(rec)
 	}
 	return cycles
 }
@@ -297,9 +294,9 @@ func (e *Engine) chargeRestore() uint64 {
 	return c
 }
 
-func (e *Engine) markTouched(page uint32) {
-	if e.touchStamp[page] != e.gts {
-		e.touchStamp[page] = e.gts
+func (e *Engine) markTouched(rec *pageRecord) {
+	if rec.touched != e.gts {
+		rec.touched = e.gts
 		e.stats.DirtyPageTouches++
 	}
 }
@@ -401,5 +398,4 @@ func (e *Engine) DrainRollbacks() (lines int, cycles uint64) {
 // restored and the delta history becomes meaningless).
 func (e *Engine) Discard() {
 	e.pages = make(map[uint32]*pageRecord)
-	e.touchStamp = make(map[uint32]uint64)
 }

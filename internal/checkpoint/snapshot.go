@@ -21,8 +21,8 @@ func decodeVec(r *wire.Reader, v BitVec) {
 	}
 }
 
-// EncodeState writes the engine's full backup state: GTS, counters,
-// every page record (ascending VA) and the touch-stamp map. The memory
+// EncodeState writes the engine's full backup state: GTS, counters and
+// every page record (ascending VA), touch stamp included. The memory
 // view, cost function and tamperer are chip-owned wiring.
 func (e *Engine) EncodeState(w *wire.Writer) {
 	w.U64(e.gts)
@@ -49,17 +49,7 @@ func (e *Engine) EncodeState(w *wire.Writer) {
 		w.Bool(rec.rollbackVld)
 		w.Blob(rec.backup)
 		w.U64(rec.everAllocGTS)
-	}
-
-	stamps := make([]uint32, 0, len(e.touchStamp))
-	for page := range e.touchStamp {
-		stamps = append(stamps, page)
-	}
-	sortU32(stamps)
-	w.Len(len(stamps))
-	for _, page := range stamps {
-		w.U32(page)
-		w.U64(e.touchStamp[page])
+		w.U64(rec.touched)
 	}
 }
 
@@ -79,7 +69,7 @@ func (e *Engine) DecodeState(r *wire.Reader) {
 	e.stats.DirtyPageTouches = r.U64()
 
 	words := e.wordsPerVec()
-	n := r.Len(4 + 8 + 16*words + 1 + 4 + 8)
+	n := r.Len(4 + 8 + 16*words + 1 + 4 + 8 + 8)
 	e.pages = make(map[uint32]*pageRecord, n)
 	prev := int64(-1)
 	for i := 0; i < n; i++ {
@@ -94,6 +84,7 @@ func (e *Engine) DecodeState(r *wire.Reader) {
 		rec.rollbackVld = r.Bool()
 		rec.backup = r.Blob()
 		rec.everAllocGTS = r.U64()
+		rec.touched = r.U64()
 		if r.Err() != nil {
 			return
 		}
@@ -111,30 +102,5 @@ func (e *Engine) DecodeState(r *wire.Reader) {
 		}
 		prev = int64(page)
 		e.pages[page] = rec
-	}
-
-	n = r.Len(4 + 8)
-	e.touchStamp = make(map[uint32]uint64, n)
-	prev = -1
-	for i := 0; i < n; i++ {
-		page := r.U32()
-		stamp := r.U64()
-		if r.Err() != nil {
-			return
-		}
-		if int64(page) <= prev {
-			r.Failf("checkpoint: touch stamps out of order at %#x", page)
-			return
-		}
-		prev = int64(page)
-		e.touchStamp[page] = stamp
-	}
-}
-
-func sortU32(s []uint32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }

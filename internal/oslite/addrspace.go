@@ -201,39 +201,51 @@ func (as *AddressSpace) Write8(va uint32, v uint8) error {
 	return nil
 }
 
-// ReadBytes copies len(dst) bytes from va, page by page.
-func (as *AddressSpace) ReadBytes(va uint32, dst []byte) error {
-	for len(dst) > 0 {
-		pa, _, err := as.Translate(va)
-		if err != nil {
-			return err
+// check reports whether a kernel access may touch [va, va+n): the end
+// is computed in 64 bits, so the range may not wrap past 2^32, and
+// every page it touches must be mapped. The fault names the first
+// address that fails, 0 for a wrap; write says which way the kernel
+// was copying. An empty range touches no page.
+func (as *AddressSpace) check(va, n uint32, write bool) error {
+	end := uint64(va) + uint64(n)
+	for a := uint64(va); a < end; a = a&^(PageBytes-1) + PageBytes {
+		if a >= 1<<32 || !as.Mapped(uint32(a)) {
+			return &PageFault{VA: uint32(a), Write: write}
 		}
-		n := PageBytes - int(va%PageBytes)
-		if n > len(dst) {
-			n = len(dst)
-		}
-		as.phys.ReadBytes(pa, dst[:n])
-		dst = dst[n:]
-		va += uint32(n)
 	}
 	return nil
 }
 
-// WriteBytes copies src to va, page by page.
-func (as *AddressSpace) WriteBytes(va uint32, src []byte) error {
-	for len(src) > 0 {
-		pa, _, err := as.Translate(va)
-		if err != nil {
-			return err
-		}
-		n := PageBytes - int(va%PageBytes)
-		if n > len(src) {
-			n = len(src)
-		}
-		as.phys.WriteBytes(pa, src[:n])
-		src = src[n:]
-		va += uint32(n)
+// walk calls fn for each page piece of [va, va+n) in address order,
+// with the piece's physical address and its offset and length within
+// the range. The range must have passed check.
+func (as *AddressSpace) walk(va, n uint32, fn func(pa, off, m uint32)) {
+	for off := uint32(0); off < n; {
+		m := min(PageBytes-(va+off)%PageBytes, n-off)
+		fn(as.mustPA(va+off), off, m)
+		off += m
 	}
+}
+
+// ReadBytes copies len(dst) bytes from va, or nothing if any of the
+// range is unmapped.
+func (as *AddressSpace) ReadBytes(va uint32, dst []byte) error {
+	n := uint32(len(dst))
+	if err := as.check(va, n, false); err != nil {
+		return err
+	}
+	as.walk(va, n, func(pa, off, m uint32) { as.phys.ReadBytes(pa, dst[off:off+m]) })
+	return nil
+}
+
+// WriteBytes copies src to va, or nothing if any of the range is
+// unmapped.
+func (as *AddressSpace) WriteBytes(va uint32, src []byte) error {
+	n := uint32(len(src))
+	if err := as.check(va, n, true); err != nil {
+		return err
+	}
+	as.walk(va, n, func(pa, off, m uint32) { as.phys.WriteBytes(pa, src[off:off+m]) })
 	return nil
 }
 

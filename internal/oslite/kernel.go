@@ -108,7 +108,6 @@ type Kernel struct {
 	alloc   *mem.FrameAllocator
 	fs      *FS
 	procs   map[int]*Process
-	killed  map[int]bool
 	nextPID int
 	net     NetPort
 	hooks   Hooks
@@ -130,7 +129,6 @@ func NewKernel(phys *mem.Physical, regionLo, regionHi uint32, disk *device.Disk,
 		alloc:    mem.NewFrameAllocator(regionLo, regionHi),
 		fs:       fs,
 		procs:    make(map[int]*Process),
-		killed:   make(map[int]bool),
 		nextPID:  100,
 		net:      net,
 		hooks:    hooks,
@@ -163,9 +161,10 @@ func (k *Kernel) ReadFile(name string) ([]byte, bool) {
 }
 
 // diskTransfer implements the disk syscalls: it validates geometry,
-// runs the checkpoint hooks over the buffer (reads land in tracked
-// application memory; writes may need lazily-restored lines first),
-// translates each sector's VA and issues one DMA descriptor.
+// passes the buffer through the guest boundary (a disk read writes
+// tracked application memory; a disk write reads it, so it may need
+// lazily restored lines first) and issues one DMA descriptor with each
+// sector's physical address. A 512-aligned sector never crosses a page.
 func (k *Kernel) diskTransfer(p *Process, cpu CPU, write bool) (uint64, error) {
 	sector, bufVA, n := cpu.Reg(1), cpu.Reg(2), cpu.Reg(3)
 	if n == 0 || n > MaxDiskSectors {
@@ -174,27 +173,17 @@ func (k *Kernel) diskTransfer(p *Process, cpu CPU, write bool) (uint64, error) {
 	if bufVA%device.SectorBytes != 0 {
 		return 0, &ProcFault{PID: p.PID, Err: fmt.Errorf("unaligned disk buffer %#x", bufVA)}
 	}
-	var cycles uint64
-	if p.Ckpt != nil {
-		g := p.Ckpt.Granule()
-		for a := bufVA; a < bufVA+n*device.SectorBytes; a += g {
-			if write {
-				cycles += p.Ckpt.PreLoad(a)
-			} else {
-				cycles += p.Ckpt.PreStore(a)
-			}
-		}
+	cycles, err := k.guest(p, bufVA, n*device.SectorBytes, !write)
+	if err != nil {
+		return cycles, err
 	}
 	pas := make([]uint32, 0, n)
-	for i := uint32(0); i < n; i++ {
-		pa, _, err := p.AS.Translate(bufVA + i*device.SectorBytes)
-		if err != nil {
-			return cycles, &ProcFault{PID: p.PID, Err: err}
+	p.AS.walk(bufVA, n*device.SectorBytes, func(pa, _, m uint32) {
+		for off := uint32(0); off < m; off += device.SectorBytes {
+			pas = append(pas, pa+off)
 		}
-		pas = append(pas, pa)
-	}
+	})
 	var c uint64
-	var err error
 	if write {
 		c, err = k.disk.WriteSectors(k.hooks.CoreID(), sector, pas)
 	} else {
@@ -215,14 +204,6 @@ func (k *Kernel) Allocator() *mem.FrameAllocator { return k.alloc }
 func (k *Kernel) Process(pid int) (*Process, bool) {
 	p, ok := k.procs[pid]
 	return p, ok
-}
-
-// Killed reports whether pid has been killed (child cleanup check).
-func (k *Kernel) Killed(pid int) bool { return k.killed[pid] }
-
-func (k *Kernel) kill(pid int) {
-	k.killed[pid] = true
-	delete(k.procs, pid)
 }
 
 // Reap retires a process that a fresh image has replaced: its PID
@@ -320,37 +301,54 @@ func (k *Kernel) InitialContext(p *Process) Context {
 	return ctx
 }
 
-// copyInTracked writes data into the process's memory at va, invoking
-// the checkpoint scheme's PreStore per touched backup line so kernel
-// writes (request payload delivery) are rollback-protected like the
-// application's own stores. Returns modelled cycles.
-func (k *Kernel) copyInTracked(p *Process, va uint32, data []byte) (uint64, error) {
+// guest is the kernel's one boundary with guest memory: every syscall
+// that moves a buffer [va, va+n) of p's memory passes it through here
+// before touching it. It checks the range (no wrap past 2^32, every
+// touched page mapped), then runs p's checkpoint hook once per granule
+// from va's granule base, PreStore when the kernel writes the buffer
+// and PreLoad when it reads it, so kernel copies are rollback-protected
+// like the application's own accesses. A bad buffer faults p before
+// anything is hooked, allocated or copied; after a nil error the
+// caller moves the bytes with p.AS.walk. Returns the hooks' cycles.
+func (k *Kernel) guest(p *Process, va, n uint32, write bool) (uint64, error) {
+	if err := p.AS.check(va, n, write); err != nil {
+		return 0, &ProcFault{PID: p.PID, Err: err}
+	}
+	if p.Ckpt == nil || n == 0 {
+		return 0, nil
+	}
 	var cycles uint64
-	if p.Ckpt != nil {
-		g := p.Ckpt.Granule()
-		for a := va &^ (g - 1); a < va+uint32(len(data)); a += g {
-			cycles += p.Ckpt.PreStore(a)
+	g := uint64(p.Ckpt.Granule())
+	for a := uint64(va) &^ (g - 1); a < uint64(va)+uint64(n); a += g {
+		if write {
+			cycles += p.Ckpt.PreStore(uint32(a))
+		} else {
+			cycles += p.Ckpt.PreLoad(uint32(a))
 		}
 	}
-	if err := p.AS.WriteBytes(va, data); err != nil {
-		return cycles, &ProcFault{PID: p.PID, Err: err}
+	return cycles, nil
+}
+
+// copyInTracked writes data into the process's memory at va through
+// the guest boundary. Returns modelled cycles.
+func (k *Kernel) copyInTracked(p *Process, va uint32, data []byte) (uint64, error) {
+	cycles, err := k.guest(p, va, uint32(len(data)), true)
+	if err != nil {
+		return cycles, err
 	}
+	p.AS.walk(va, uint32(len(data)), func(pa, off, m uint32) { k.phys.WriteBytes(pa, data[off:off+m]) })
 	return cycles + uint64(len(data))*sysPerByteCycles, nil
 }
 
-// copyOutTracked reads from process memory, honouring lazy rollback.
+// copyOutTracked reads n bytes of process memory at va through the
+// guest boundary, honouring lazy rollback.
 func (k *Kernel) copyOutTracked(p *Process, va uint32, n uint32) ([]byte, uint64, error) {
-	var cycles uint64
-	if p.Ckpt != nil {
-		g := p.Ckpt.Granule()
-		for a := va &^ (g - 1); a < va+n; a += g {
-			cycles += p.Ckpt.PreLoad(a)
-		}
+	cycles, err := k.guest(p, va, n, false)
+	if err != nil {
+		return nil, cycles, err
 	}
 	buf := make([]byte, n)
-	if err := p.AS.ReadBytes(va, buf); err != nil {
-		return nil, cycles, &ProcFault{PID: p.PID, Err: err}
-	}
+	p.AS.walk(va, n, func(pa, off, m uint32) { k.phys.ReadBytes(pa, buf[off:off+m]) })
 	return buf, cycles + uint64(n)*sysPerByteCycles, nil
 }
 
@@ -459,14 +457,12 @@ func (k *Kernel) Syscall(p *Process, cpu CPU, num int) (uint64, error) {
 			return cycles, &ProcFault{PID: p.PID, Err: err}
 		}
 		buf := k.fs.read(d.File, d.Offset, cpu.Reg(3))
-		if len(buf) > 0 {
-			c, err := k.copyInTracked(p, cpu.Reg(2), buf)
-			cycles += c
-			if err != nil {
-				return cycles, err
-			}
-			d.Offset += uint32(len(buf))
+		c, err := k.copyInTracked(p, cpu.Reg(2), buf)
+		cycles += c
+		if err != nil {
+			return cycles, err
 		}
+		d.Offset += uint32(len(buf))
 		cpu.SetReg(1, uint32(len(buf)))
 
 	case SysWrite:

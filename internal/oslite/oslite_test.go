@@ -182,13 +182,9 @@ func testKernel(t *testing.T, net NetPort, hooks Hooks) *Kernel {
 
 func spawnTest(t *testing.T, k *Kernel, withCkpt bool) *Process {
 	t.Helper()
-	prog, err := asm.Assemble(testProgSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := SpawnConfig{Name: "t", Prog: prog}
+	var newScheme func(checkpoint.Memory) checkpoint.Scheme
 	if withCkpt {
-		cfg.NewScheme = func(m checkpoint.Memory) checkpoint.Scheme {
+		newScheme = func(m checkpoint.Memory) checkpoint.Scheme {
 			e, err := checkpoint.NewEngine(checkpoint.DefaultConfig(), m, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -196,7 +192,18 @@ func spawnTest(t *testing.T, k *Kernel, withCkpt bool) *Process {
 			return e
 		}
 	}
-	p, err := k.Spawn(cfg)
+	return spawnWith(t, k, newScheme)
+}
+
+// spawnWith spawns the test program protected by the scheme newScheme
+// builds (nil: unprotected).
+func spawnWith(t *testing.T, k *Kernel, newScheme func(checkpoint.Memory) checkpoint.Scheme) *Process {
+	t.Helper()
+	prog, err := asm.Assemble(testProgSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := k.Spawn(SpawnConfig{Name: "t", Prog: prog, NewScheme: newScheme})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,11 +406,8 @@ func TestSyscallSbrkAndResourceRollback(t *testing.T) {
 			t.Fatal("descriptor opened after snapshot survived")
 		}
 	}
-	if !k.Killed(child) {
-		t.Fatal("child spawned after snapshot survived")
-	}
-	if len(p.Children()) != 0 {
-		t.Fatal("children list not trimmed")
+	if kids := p.Children(); len(kids) != 0 {
+		t.Fatalf("child %d spawned after the snapshot survived: children %v", child, kids)
 	}
 }
 
@@ -434,8 +438,8 @@ func TestResourceRollbackKeepsPriorState(t *testing.T) {
 	if !found {
 		t.Fatal("descriptor opened before snapshot was closed")
 	}
-	if k.Killed(childBefore) {
-		t.Fatal("pre-snapshot child killed")
+	if kids := p.Children(); len(kids) != 1 || kids[0] != childBefore {
+		t.Fatalf("children %v after rollback, want the pre-snapshot child %d", kids, childBefore)
 	}
 }
 

@@ -79,10 +79,11 @@ func (p *Process) SnapshotResources() ResourceSnapshot {
 
 // RestoreResources rolls resource state back to a snapshot: descriptors
 // opened afterwards are closed (files opened before remain open), child
-// processes spawned afterwards are killed, and memory pages allocated
-// afterwards are reclaimed — exactly the recovery semantics of Section
-// 3.3.3. File contents, messages and signals are deliberately *not*
-// restored.
+// processes spawned afterwards are killed (a child is never scheduled,
+// so trimming its PID from the list is its death), and memory pages
+// allocated afterwards are reclaimed — exactly the recovery semantics
+// of Section 3.3.3. File contents, messages and signals are
+// deliberately *not* restored.
 func (p *Process) RestoreResources(s ResourceSnapshot) {
 	keep := make(map[int]bool, len(s.FDs))
 	for _, fd := range s.FDs {
@@ -92,9 +93,6 @@ func (p *Process) RestoreResources(s ResourceSnapshot) {
 		if !keep[fd] {
 			_ = p.fds.close(fd)
 		}
-	}
-	for _, child := range p.children[s.Children:] {
-		p.kern.kill(child)
 	}
 	p.children = p.children[:s.Children]
 
@@ -119,9 +117,14 @@ func (p *Process) Children() []int { return append([]int(nil), p.children...) }
 func (p *Process) OpenFDs() []int { return p.fds.fds() }
 
 // sbrk grows the heap by n bytes (rounded up to pages) and returns the
-// previous break.
+// previous break. The break never wraps past 2^32 and never reaches
+// the guard page below the stack: such a request fails before any
+// frame is mapped.
 func (p *Process) sbrk(n uint32) (uint32, error) {
 	old := p.heap.brk
+	if guard := p.stack.Lo - PageBytes; uint64(old)+uint64(n) > uint64(guard) {
+		return 0, fmt.Errorf("oslite: sbrk(%#x) from break %#x passes the guard page at %#x", n, old, guard)
+	}
 	newBrk := old + n
 	for end := p.heap.base + uint32(len(p.heap.frames))*PageBytes; end < newBrk; end += PageBytes {
 		frame, err := p.kern.alloc.Alloc()

@@ -1,8 +1,13 @@
 package oslite
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"indra/internal/device"
+	"indra/internal/mem"
+	"indra/internal/watchdog"
 )
 
 // --- descriptor table --------------------------------------------------
@@ -124,6 +129,65 @@ func TestSbrkExhaustsPhysicalMemory(t *testing.T) {
 	// The failed call must not advance the break past what is mapped.
 	if want := p.heap.base + uint32(len(p.heap.frames))*PageBytes; p.HeapBrk() != want {
 		t.Fatalf("brk %#x inconsistent with %d mapped frames (want %#x)", p.HeapBrk(), len(p.heap.frames), want)
+	}
+}
+
+// On a kernel over a chip's whole partition, [16 MiB, 64 MiB), there
+// are frames enough to map the heap over the stack. An sbrk whose break
+// would reach the guard page below the stack faults before any frame
+// is mapped, so the stack keeps its frames and bytes; one that ends
+// just below the guard page succeeds.
+func TestSbrkStopsAtStackGuardPage(t *testing.T) {
+	phys := mem.NewPhysical(64 << 20)
+	disk := device.NewDisk(phys, watchdog.New(watchdog.Config{Privileged: watchdog.CoreMask(1)}), nil)
+	k := NewKernel(phys, 16<<20, 64<<20, disk, &fakeNet{}, &fakeHooks{})
+	p := spawnTest(t, k, false)
+	sp := k.InitialContext(p).Regs[14]
+	if err := p.AS.Write32(sp, 0xC0FFEE); err != nil {
+		t.Fatal(err)
+	}
+	brk, inUse := p.HeapBrk(), k.Allocator().InUse()
+	cpu := &fakeCPU{}
+	cpu.SetReg(1, p.Stack().Hi-brk)
+	var pf *ProcFault
+	if _, err := k.Syscall(p, cpu, SysSbrk); !errors.As(err, &pf) {
+		t.Fatalf("sbrk over the stack: got %v, want a process fault", err)
+	}
+	if p.HeapBrk() != brk || k.Allocator().InUse() != inUse {
+		t.Fatalf("failed sbrk moved the break to %#x and frames in use to %d (from %#x, %d)",
+			p.HeapBrk(), k.Allocator().InUse(), brk, inUse)
+	}
+	if v, err := p.AS.Read32(sp); err != nil || v != 0xC0FFEE {
+		t.Fatalf("word at sp reads %#x, %v after the failed sbrk", v, err)
+	}
+
+	guard := p.Stack().Lo - PageBytes
+	cpu.SetReg(1, guard-brk)
+	if _, err := k.Syscall(p, cpu, SysSbrk); err != nil {
+		t.Fatalf("sbrk up to the guard page: %v", err)
+	}
+	if !p.AS.Mapped(guard-1) || p.AS.Mapped(guard) {
+		t.Fatalf("heap ends at %#x; want its last page just below the guard page %#x", p.HeapBrk(), guard)
+	}
+}
+
+// sbrk takes an unsigned increment: one that wraps the break past 2^32
+// faults and leaves the break where it was.
+func TestSbrkRejectsWrap(t *testing.T) {
+	k := testKernel(t, nil, nil)
+	p := spawnTest(t, k, false)
+	if _, err := p.sbrk(PageBytes); err != nil {
+		t.Fatal(err)
+	}
+	brk := p.HeapBrk()
+	cpu := &fakeCPU{}
+	cpu.SetReg(1, 0xFFFF_F000)
+	var pf *ProcFault
+	if _, err := k.Syscall(p, cpu, SysSbrk); !errors.As(err, &pf) {
+		t.Fatalf("wrapping sbrk: got %v, want a process fault", err)
+	}
+	if p.HeapBrk() != brk || len(p.heap.frames) != 1 {
+		t.Fatalf("wrapping sbrk left break %#x and %d frames, want %#x and 1", p.HeapBrk(), len(p.heap.frames), brk)
 	}
 }
 

@@ -218,9 +218,9 @@ func (k *Kernel) PIDs() []int {
 }
 
 // EncodeState writes the kernel: allocator, file system, process
-// table (ascending PID), kill set, and IPC queues. The audit log is
-// not encoded separately — it is the file-system entry "audit.log",
-// re-aliased on decode.
+// table (ascending PID) and IPC queues. The audit log is not encoded
+// separately — it is the file-system entry "audit.log", re-aliased on
+// decode.
 func (k *Kernel) EncodeState(w *wire.Writer) {
 	k.alloc.EncodeState(w)
 	k.fs.EncodeState(w)
@@ -234,16 +234,6 @@ func (k *Kernel) EncodeState(w *wire.Writer) {
 	w.Len(len(pids))
 	for _, pid := range pids {
 		k.procs[pid].EncodeState(w)
-	}
-
-	killed := make([]int, 0, len(k.killed))
-	for pid := range k.killed {
-		killed = append(killed, pid)
-	}
-	sort.Ints(killed)
-	w.Len(len(killed))
-	for _, pid := range killed {
-		w.Int(pid)
 	}
 
 	queues := make([]uint32, 0, len(k.msgs))
@@ -283,22 +273,6 @@ func (k *Kernel) DecodeState(r *wire.Reader) {
 		}
 		prev = p.PID
 		k.procs[p.PID] = p
-	}
-
-	n = r.Len(8)
-	k.killed = make(map[int]bool, n)
-	prev = -1
-	for i := 0; i < n; i++ {
-		pid := r.Int()
-		if r.Err() != nil {
-			return
-		}
-		if pid <= prev {
-			r.Failf("oslite: killed PIDs out of order at %d", pid)
-			return
-		}
-		prev = pid
-		k.killed[pid] = true
 	}
 
 	n = r.Len(4 + 4)

@@ -34,7 +34,7 @@ import (
 // Version is the format version this build writes and the only one it
 // reads. Bump on any wire-layout change; there is no cross-version
 // migration — a snapshot is a resumable moment, not an archive format.
-const Version = 4
+const Version = 5
 
 var magic = []byte("INDRSNAP")
 
