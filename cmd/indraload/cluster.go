@@ -54,7 +54,6 @@ type sweepFlags struct {
 	synthetic  *time.Duration
 	killMid    *bool
 	benchOut   *string
-	vnodes     *int
 }
 
 func registerClusterSweepFlags() sweepFlags {
@@ -64,7 +63,6 @@ func registerClusterSweepFlags() sweepFlags {
 		synthetic:  flag.Duration("synthetic", 0, "cluster sweep: replace simulation with a sleep of this length (isolates router scaling from host CPU count)"),
 		killMid:    flag.Bool("kill-mid", false, "cluster sweep: kill the last worker halfway through every N>1 phase"),
 		benchOut:   flag.String("bench-out", "", "cluster sweep: write the scaling table as JSON to this file"),
-		vnodes:     flag.Int("sweep-vnodes", 128, "cluster sweep: virtual nodes per worker on the router's hash ring"),
 	}
 }
 
@@ -172,7 +170,6 @@ func runSweepPhase(client *http.Client, n int, cf sweepFlags, lc loadConfig, req
 		workers = append(workers, cluster.NewHTTPWorker("http://"+l.Addr().String(), nil))
 	}
 	router, err := cluster.New(cluster.Config{
-		Vnodes:        *cf.vnodes,
 		ProbeInterval: 200 * time.Millisecond,
 		ProbeTimeout:  time.Second,
 		FailThreshold: 2,

@@ -18,7 +18,6 @@ import (
 type clusterFlags struct {
 	peers           *string
 	localWorkers    *int
-	vnodes          *int
 	probeInterval   *time.Duration
 	failThreshold   *int
 	reviveThreshold *int
@@ -29,7 +28,6 @@ func registerClusterFlags() clusterFlags {
 	return clusterFlags{
 		peers:           flag.String("peers", "", "comma-separated worker base URLs to route across (cluster mode)"),
 		localWorkers:    flag.Int("local-workers", 0, "in-process workers to spawn and route across (cluster mode)"),
-		vnodes:          flag.Int("vnodes", 128, "virtual nodes per worker on the hash ring"),
 		probeInterval:   flag.Duration("probe-interval", 500*time.Millisecond, "health-probe period"),
 		failThreshold:   flag.Int("fail-threshold", 3, "consecutive failures before a worker is ejected from the ring"),
 		reviveThreshold: flag.Int("revive-threshold", 2, "consecutive probe successes before an ejected worker is re-admitted"),
@@ -64,7 +62,6 @@ func newClusterFront(cf clusterFlags, srvCfg serve.Config) clusterFront {
 	}
 
 	router, err := cluster.New(cluster.Config{
-		Vnodes:          *cf.vnodes,
 		ProbeInterval:   *cf.probeInterval,
 		FailThreshold:   *cf.failThreshold,
 		ReviveThreshold: *cf.reviveThreshold,

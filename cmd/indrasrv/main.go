@@ -4,9 +4,10 @@
 // (single-flight) and admission control; with -cluster it is a router,
 // consistent-hashing every cell to its owning worker (given by -peers
 // URLs and/or -local-workers in-process servers) with cluster-wide
-// single-flight, health-checked failover and peer cache fill (see
-// cluster.go). Both roles serve the same front, so clients cannot tell
-// them apart.
+// single-flight and health-checked failover (see cluster.go): a dead
+// worker's keys re-simulate once on their new owners, since a worker
+// caches only what it simulated itself. Both roles serve the same
+// front, so clients cannot tell them apart.
 //
 // Usage:
 //
@@ -23,9 +24,8 @@
 //	POST /v1/cell          {"key": "fig9/req=3/scale=1/seed=1"}
 //	POST /v1/cells         {"cells": [K, ...]} → NDJSON as cells finish
 //
-// plus POST /v1/fill ({"key": K, "output": O}, peer cache fill) on a
-// worker and GET /v1/cluster (topology and routing latency) on a
-// router. Request bodies are capped at 1 MiB (413 beyond).
+// plus GET /v1/cluster (topology and routing latency) on a router.
+// Request bodies are capped at 1 MiB (413 beyond).
 //
 // A cell's output is byte-identical to `indrabench -experiment <id>`
 // with the same requests/scale/seed. Identical concurrent requests

@@ -1,14 +1,16 @@
 package chip
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"indra/internal/asm"
+	"indra/internal/cpu"
 	"indra/internal/netsim"
+	"indra/internal/oslite"
 )
 
 // hostilePrograms each hand one buffer syscall a buffer that reaches
@@ -115,13 +117,15 @@ func TestHostileGuestBuffers(t *testing.T) {
 				}
 
 				if scheme == SchemeNone {
-					fault := "page fault: read of unmapped"
-					if hp.write {
-						fault = "page fault: write of unmapped"
+					var cf *cpu.Fault
+					var proc *oslite.ProcFault
+					var pf *oslite.PageFault
+					if !errors.As(o.err, &cf) || cf.Kind != cpu.FaultSyscall ||
+						!errors.As(o.err, &proc) || !errors.As(o.err, &pf) {
+						t.Fatalf("got %v, want a syscall fault wrapping a process page fault", o.err)
 					}
-					if o.err == nil || !strings.Contains(o.err.Error(), "unrecoverable fault") ||
-						!strings.Contains(o.err.Error(), fault) {
-						t.Fatalf("got %v, want an unrecoverable %q", o.err, fault)
+					if pf.Write != hp.write || pf.Perm != 0 {
+						t.Fatalf("page fault %+v, want Write %v of unmapped memory", *pf, hp.write)
 					}
 					return
 				}

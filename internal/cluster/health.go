@@ -81,26 +81,20 @@ func (r *Router) noteSuccess(id string) {
 // worker-level request failure). A live worker that has failed
 // FailThreshold consecutive times is ejected: removed from the ring by
 // a deterministic re-hash — only its keys move, each to its ring
-// successor — and its remembered results are pushed to the new owners
-// (peer cache fill) so the failed-over keys answer warm.
+// successor, which simulates each of them afresh on first request.
 func (r *Router) noteFailure(id string) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	mb := r.members[id]
 	if mb == nil {
-		r.mu.Unlock()
 		return
 	}
 	mb.consecOK = 0
 	mb.consecFail++
-	ejected := mb.alive && mb.consecFail >= r.cfg.FailThreshold
-	if ejected {
+	if mb.alive && mb.consecFail >= r.cfg.FailThreshold {
 		mb.alive = false
 		r.m.ejections.Inc()
 		r.rebuildRingLocked()
-	}
-	r.mu.Unlock()
-	if ejected {
-		go r.refill(id)
 	}
 }
 
@@ -114,6 +108,6 @@ func (r *Router) rebuildRingLocked() {
 			alive = append(alive, id)
 		}
 	}
-	r.ring = NewRing(r.cfg.Vnodes, alive)
+	r.ring = NewRing(ringVnodes, alive)
 	r.m.aliveWorkers.Set(uint64(len(alive)))
 }

@@ -17,9 +17,6 @@ type metrics struct {
 	probeFailures *obs.Counter // health probes that failed
 	ejections     *obs.Counter // workers removed from the ring
 	revivals      *obs.Counter // workers re-admitted to the ring
-	fills         *obs.Counter // peer cache fills pushed to new owners
-	fillErrors    *obs.Counter // peer cache fills that failed
-	fillEvicted   *obs.Counter // remembered results dropped at the FillEntries bound
 
 	aliveWorkers *obs.Gauge     // live ring members, with high-water
 	proxyLatency *obs.Histogram // per-upstream-attempt latency, µs
@@ -37,9 +34,6 @@ func newClusterMetrics(r *obs.Registry) metrics {
 		probeFailures: r.Counter("cluster.probe.failures"),
 		ejections:     r.Counter("cluster.ejections"),
 		revivals:      r.Counter("cluster.revivals"),
-		fills:         r.Counter("cluster.fills"),
-		fillErrors:    r.Counter("cluster.fill.errors"),
-		fillEvicted:   r.Counter("cluster.fill.evicted"),
 		aliveWorkers:  r.Gauge("cluster.workers.alive"),
 		proxyLatency:  r.Histogram("cluster.proxy.latency_us"),
 		probeLatency:  r.Histogram("cluster.probe.latency_us"),

@@ -18,10 +18,10 @@
 //
 // The one-owner-per-key-under-failure protocol follows the
 // fault-tolerant Ivy template (SNIPPETS.md snippet 1): ownership is a
-// pure function of (key, live member set), every membership change is
-// a deterministic re-hash, and a remembered copy of the dead owner's
-// results warms its successor (peer cache fill) so failover does not
-// re-pay the owner's work.
+// pure function of (key, live member set), and every membership change
+// is a deterministic re-hash. A worker's cache holds only results it
+// simulated itself, so a dead owner's key re-simulates once on its
+// successor; the key pins the bytes, so the answer does not change.
 package cluster
 
 import (
@@ -31,7 +31,7 @@ import (
 )
 
 // Ring is a consistent-hash ring mapping keys to worker ids. Each
-// worker contributes Vnodes points placed by FNV-64a (a fixed hash, so
+// worker contributes vnodes points placed by FNV-64a (a fixed hash, so
 // every router instance — and every rebuild after a membership change —
 // derives the identical ring from the same member set); a key is owned
 // by the first point at or clockwise after the key's own hash.
@@ -42,7 +42,6 @@ import (
 // owned — the remapping-minimality property the failover protocol
 // relies on (only the dead worker's keys change owner).
 type Ring struct {
-	vnodes int
 	points []ringPoint // sorted by hash
 	nodes  []string    // sorted member ids
 }
@@ -53,11 +52,12 @@ type ringPoint struct {
 }
 
 // NewRing builds a ring over the given worker ids with vnodes virtual
-// points per worker (0 selects 128). Duplicate ids collapse; order is
-// irrelevant. An empty member set yields a ring that owns nothing.
+// points per worker (0 selects the router's 128). Duplicate ids
+// collapse; order is irrelevant. An empty member set yields a ring that
+// owns nothing.
 func NewRing(vnodes int, nodes []string) *Ring {
 	if vnodes <= 0 {
-		vnodes = 128
+		vnodes = ringVnodes
 	}
 	seen := make(map[string]bool, len(nodes))
 	var members []string
@@ -68,7 +68,7 @@ func NewRing(vnodes int, nodes []string) *Ring {
 		}
 	}
 	sort.Strings(members)
-	r := &Ring{vnodes: vnodes, nodes: members}
+	r := &Ring{nodes: members}
 	r.points = make([]ringPoint, 0, len(members)*vnodes)
 	for _, n := range members {
 		for v := 0; v < vnodes; v++ {

@@ -14,13 +14,15 @@ import (
 	"indra/internal/serve"
 )
 
-// Config tunes the router tier. The zero value routes with 128 vnodes,
-// 500ms health probes, 3-failure ejection, 2-success revival, and up
-// to 3 owner candidates per request.
+// ringVnodes is the virtual points each worker contributes to the hash
+// ring. It is a constant, not a setting, so every router derives the
+// same ring from the same member set.
+const ringVnodes = 128
+
+// Config tunes the router tier. The zero value probes health every
+// 500ms, ejects after 3 failures, revives after 2 successes, and tries
+// up to 3 owner candidates per request.
 type Config struct {
-	// Vnodes is the virtual points per worker on the hash ring
-	// (0 selects 128). More vnodes, flatter key distribution.
-	Vnodes int
 	// ProbeInterval is the health-probe period (0 selects 500ms);
 	// ProbeTimeout bounds one probe (0 selects 2s).
 	ProbeInterval time.Duration
@@ -34,9 +36,6 @@ type Config struct {
 	// owner first, then its deterministic failover successors
 	// (0 selects 3).
 	MaxHops int
-	// FillEntries bounds the remembered results used to warm a dead
-	// owner's successor (0 selects 4096).
-	FillEntries int
 	// Limits bound each request at the router; set them to the
 	// workers' limits so bad cells are rejected without a proxy hop.
 	serve.Limits
@@ -45,9 +44,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Vnodes <= 0 {
-		c.Vnodes = 128
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
@@ -62,9 +58,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxHops <= 0 {
 		c.MaxHops = 3
-	}
-	if c.FillEntries <= 0 {
-		c.FillEntries = 4096
 	}
 	if c.Reg == nil {
 		c.Reg = obs.NewRegistry()
@@ -94,13 +87,6 @@ type flight struct {
 	res  serve.Cell
 }
 
-// fillEntry is one remembered successful result: enough to warm the
-// key's new owner when the worker that produced it is ejected.
-type fillEntry struct {
-	output string
-	owner  string
-}
-
 // Router is the cluster's executor behind the shared serve.Front: it
 // owns the hash ring, proxies each cell to its owner with failover,
 // health-checks the members, and adds GET /v1/cluster. Clients cannot
@@ -116,9 +102,6 @@ type Router struct {
 
 	sfMu sync.Mutex
 	sf   map[string]*flight
-
-	recentMu sync.Mutex
-	recent   map[string]fillEntry
 
 	probeStop chan struct{}
 	probeDone chan struct{}
@@ -137,7 +120,6 @@ func New(cfg Config, workers []Worker) (*Router, error) {
 		m:         newClusterMetrics(cfg.Reg),
 		members:   make(map[string]*member, len(workers)),
 		sf:        make(map[string]*flight),
-		recent:    make(map[string]fillEntry),
 		probeStop: make(chan struct{}),
 		probeDone: make(chan struct{}),
 	}
@@ -149,7 +131,7 @@ func New(cfg Config, workers []Worker) (*Router, error) {
 		r.members[w.ID()] = &member{w: w, alive: true}
 		ids = append(ids, w.ID())
 	}
-	r.ring = NewRing(cfg.Vnodes, ids)
+	r.ring = NewRing(ringVnodes, ids)
 	r.m.aliveWorkers.Set(uint64(len(ids)))
 	r.Front = serve.NewFront(r, serve.Role{
 		Prefix: "cluster",
@@ -227,7 +209,11 @@ func deadlineCell(key string) serve.Cell {
 // forward tries the key's owner, then its ring successors, treating
 // worker-level failures (dead process, broken transport, draining) as
 // failover triggers. Cell execution is idempotent — a key pins
-// byte-identical output — so retrying on the new owner is safe.
+// byte-identical output — so retrying on the new owner is safe. An
+// attempt that ends because the client's deadline expired or the
+// client hung up is the client's doing, not the worker's: it answers
+// 504 without touching the member's failure count (a hung worker is
+// still ejected by the probes, which run on their own ProbeTimeout).
 func (r *Router) forward(ctx context.Context, key indra.CellKey, ks string, timeout time.Duration) serve.Cell {
 	r.mu.Lock()
 	candidates := r.ring.Owners(ks, r.cfg.MaxHops)
@@ -256,86 +242,18 @@ func (r *Router) forward(ctx context.Context, key indra.CellKey, ks string, time
 			if hop > 0 {
 				r.m.failovers.Inc()
 			}
-			if c.Status == http.StatusOK {
-				r.remember(ks, c.Output, id)
-			}
 			c.Worker, c.Hops = id, hop
 			return c
 		}
-		lastErr = err
-		r.noteFailure(id)
 		if ctx.Err() != nil {
 			return deadlineCell(ks)
 		}
+		lastErr = err
+		r.noteFailure(id)
 	}
 	r.m.unrouted.Inc()
 	return serve.Cell{Key: ks, Status: http.StatusBadGateway,
 		Error: fmt.Sprintf("all %d owner candidates failed: %v", len(candidates), lastErr)}
-}
-
-// remember keeps a bounded copy of successful results so an ejected
-// worker's keys can warm their new owners (peer cache fill). Past the
-// FillEntries bound an arbitrary entry is evicted — that key's owner,
-// if later ejected, answers cold — and the eviction is counted so
-// operators can see an undersized bound instead of silent forgetting.
-func (r *Router) remember(key, output, owner string) {
-	r.recentMu.Lock()
-	defer r.recentMu.Unlock()
-	if _, ok := r.recent[key]; !ok && len(r.recent) >= r.cfg.FillEntries {
-		for k := range r.recent { // evict an arbitrary entry
-			delete(r.recent, k)
-			r.m.fillEvicted.Inc()
-			break
-		}
-	}
-	r.recent[key] = fillEntry{output: output, owner: owner}
-}
-
-// refill pushes every remembered result owned by the ejected worker to
-// the key's new owner, so failed-over keys answer warm instead of
-// re-simulating. Runs asynchronously after an ejection.
-func (r *Router) refill(ejected string) {
-	type fill struct {
-		key      string
-		output   string
-		newOwner string
-	}
-	var fills []fill
-	r.recentMu.Lock()
-	for key, e := range r.recent {
-		if e.owner != ejected {
-			continue
-		}
-		r.mu.Lock()
-		newOwner := r.ring.Owner(key)
-		r.mu.Unlock()
-		if newOwner == "" || newOwner == ejected {
-			continue
-		}
-		fills = append(fills, fill{key: key, output: e.output, newOwner: newOwner})
-		r.recent[key] = fillEntry{output: e.output, owner: newOwner}
-	}
-	r.recentMu.Unlock()
-
-	for _, f := range fills {
-		r.mu.Lock()
-		mb := r.members[f.newOwner]
-		r.mu.Unlock()
-		if mb == nil {
-			continue
-		}
-		key, err := indra.ParseCellKey(f.key)
-		if err != nil {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
-		if err := mb.w.Fill(ctx, key, f.output); err != nil {
-			r.m.fillErrors.Inc()
-		} else {
-			r.m.fills.Inc()
-		}
-		cancel()
-	}
 }
 
 // ---------------------------------------------------- health and topology
@@ -404,7 +322,7 @@ func (r *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"workers":       states,
 		"alive":         alive,
-		"vnodes":        r.cfg.Vnodes,
+		"vnodes":        ringVnodes,
 		"max_hops":      r.cfg.MaxHops,
 		"proxy_latency": quantiles("cluster.proxy.latency_us"),
 		"probe_latency": quantiles("cluster.probe.latency_us"),

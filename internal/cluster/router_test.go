@@ -16,24 +16,32 @@ import (
 	"indra/internal/serve"
 )
 
-// stubWorker is an in-memory cluster member with scriptable failure:
-// down workers fail Run/Health at the worker level (the failover
-// trigger), live ones answer deterministically and record every call.
+// stubWorker is a real in-process worker (a serve.Server behind a
+// LocalWorker, so it has a result cache) with scriptable failure: a
+// down stub fails Run/Health at the worker level (the failover
+// trigger), a delayed one holds each Run until the delay or the
+// request's context ends, and the runner records every execution.
 type stubWorker struct {
-	id string
+	*LocalWorker
 
 	mu    sync.Mutex
 	down  bool
 	delay time.Duration
-	runs  []string          // keys executed, in call order
-	fills map[string]string // key -> filled output
+	runs  []string // keys the runner executed, in call order
 }
 
 func newStub(id string) *stubWorker {
-	return &stubWorker{id: id, fills: map[string]string{}}
+	s := &stubWorker{}
+	s.LocalWorker = NewLocalWorker(id, serve.New(serve.Config{
+		Runner: func(key indra.CellKey) (string, error) {
+			s.mu.Lock()
+			s.runs = append(s.runs, key.String())
+			s.mu.Unlock()
+			return "out:" + key.String() + "\n", nil
+		},
+	}))
+	return s
 }
-
-func (s *stubWorker) ID() string { return s.id }
 
 func (s *stubWorker) setDown(down bool) {
 	s.mu.Lock()
@@ -41,7 +49,7 @@ func (s *stubWorker) setDown(down bool) {
 	s.down = down
 }
 
-func (s *stubWorker) Run(ctx context.Context, key indra.CellKey, _ time.Duration) (serve.Cell, error) {
+func (s *stubWorker) Run(ctx context.Context, key indra.CellKey, timeout time.Duration) (serve.Cell, error) {
 	s.mu.Lock()
 	down, delay := s.down, s.delay
 	s.mu.Unlock()
@@ -55,30 +63,29 @@ func (s *stubWorker) Run(ctx context.Context, key indra.CellKey, _ time.Duration
 			return serve.Cell{}, ctx.Err()
 		}
 	}
-	ks := key.String()
-	s.mu.Lock()
-	s.runs = append(s.runs, ks)
-	s.mu.Unlock()
-	return serve.Cell{Key: ks, Output: "out:" + ks + "\n", Status: http.StatusOK}, nil
+	return s.LocalWorker.Run(ctx, key, timeout)
 }
 
-func (s *stubWorker) Fill(_ context.Context, key indra.CellKey, output string) error {
+func (s *stubWorker) Health(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.down {
 		return fmt.Errorf("%w: stub %s is down", errWorkerDown, s.id)
 	}
-	s.fills[key.String()] = output
-	return nil
+	return s.LocalWorker.Health(ctx)
 }
 
-func (s *stubWorker) Health(context.Context) error {
+// ran counts the runner's executions of key.
+func (s *stubWorker) ran(key string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.down {
-		return fmt.Errorf("%w: stub %s is down", errWorkerDown, s.id)
+	n := 0
+	for _, k := range s.runs {
+		if k == key {
+			n++
+		}
 	}
-	return nil
+	return n
 }
 
 func (s *stubWorker) runCount() int {
@@ -160,16 +167,7 @@ func TestRouterRoutesToOwner(t *testing.T) {
 		if cell.Hops != 0 {
 			t.Errorf("key %s: %d hops on a healthy cluster", key, cell.Hops)
 		}
-		s := stubByID(stubs, owner)
-		found := false
-		s.mu.Lock()
-		for _, ran := range s.runs {
-			if ran == key {
-				found = true
-			}
-		}
-		s.mu.Unlock()
-		if !found {
+		if stubByID(stubs, owner).ran(key) == 0 {
 			t.Errorf("key %s: owner %s never executed it", key, owner)
 		}
 	}
@@ -216,35 +214,39 @@ func TestRouterSingleFlight(t *testing.T) {
 	}
 }
 
-// TestRouterFailoverAndPeerFill: a worker dies after serving keys;
-// requests re-route to the ring successor with an idempotent retry,
-// the worker is ejected after FailThreshold consecutive failures, and
-// the dead worker's remembered results are pushed to the keys' new
-// owners (peer cache fill).
-func TestRouterFailoverAndPeerFill(t *testing.T) {
+// TestRouterFailover: a worker dies after serving keys; requests
+// re-route to the ring successor with an idempotent retry, the worker
+// is ejected after FailThreshold consecutive failures, and each key the
+// dead worker had served runs exactly once on its new owner, which
+// returns the bytes the dead worker returned: no result moves between
+// workers.
+func TestRouterFailover(t *testing.T) {
 	r, stubs := newTestRouter(t, Config{FailThreshold: 3}, 4)
 
-	// Serve keys on a healthy cluster so the router remembers results.
 	keys := make([]string, 12)
 	for i := range keys {
 		keys[i] = testKey(i + 1)
-		if cell, _ := postCell(t, r, keys[i]); cell.Status != http.StatusOK {
-			t.Fatalf("warmup %s: status %d", keys[i], cell.Status)
-		}
 	}
 	victimID := r.Owner(keys[0])
 	victim := stubByID(stubs, victimID)
-	var victimKeys []string
+	victimOut := map[string]string{} // key -> bytes the victim returned
 	for _, k := range keys {
-		if r.Owner(k) == victimID {
-			victimKeys = append(victimKeys, k)
+		cell, _ := postCell(t, r, k)
+		if cell.Status != http.StatusOK {
+			t.Fatalf("warmup %s: status %d", k, cell.Status)
 		}
+		if cell.Worker == victimID {
+			victimOut[k] = cell.Output
+		}
+	}
+	if len(victimOut) < 2 {
+		t.Fatalf("victim served %d keys; the check needs one besides the failover key", len(victimOut))
 	}
 
 	victim.setDown(true)
 
 	// Each request to a victim-owned key fails over to the successor.
-	successor := NewRing(r.cfg.Vnodes, removeID(r.Alive(), victimID)).Owner(keys[0])
+	successor := NewRing(ringVnodes, removeID(r.Alive(), victimID)).Owner(keys[0])
 	for i := 0; i < 3; i++ {
 		cell, _ := postCell(t, r, keys[0])
 		if cell.Status != http.StatusOK {
@@ -271,27 +273,77 @@ func TestRouterFailoverAndPeerFill(t *testing.T) {
 		t.Error("failover/retry counters untouched")
 	}
 
-	// Peer fill: every key the victim had served lands in its new
-	// owner's cache (refill runs async after ejection). keys[0] is
-	// excluded: the failover requests re-executed it on the successor,
-	// which re-remembered it as the successor's result — already warm
-	// where it lives, so no fill is owed.
-	waitFor(t, 2*time.Second, func() bool {
-		for _, k := range victimKeys {
-			if k == keys[0] {
-				continue
-			}
-			key, _ := indra.ParseCellKey(k)
-			owner := stubByID(stubs, r.Owner(k))
-			owner.mu.Lock()
-			_, ok := owner.fills[key.String()]
-			owner.mu.Unlock()
-			if !ok {
-				return false
-			}
+	// The survivors' keys did not move: each is answered from its
+	// owner's cache, still executed once.
+	for _, k := range keys {
+		if _, ok := victimOut[k]; ok {
+			continue
 		}
-		return true
-	})
+		cell, _ := postCell(t, r, k)
+		if cell.Status != http.StatusOK || !cell.Cached {
+			t.Errorf("survivor key %s after ejection: status %d cached %v, want 200 from cache", k, cell.Status, cell.Cached)
+		}
+		if n := stubByID(stubs, cell.Worker).ran(k); n != 1 {
+			t.Errorf("survivor key %s ran %d times on %s, want 1", k, n, cell.Worker)
+		}
+	}
+
+	// Every key the victim served, asked again, runs once on its new
+	// owner (keys[0] already did, on the failover requests) and comes
+	// back byte-identical.
+	for k, want := range victimOut {
+		cell, _ := postCell(t, r, k)
+		if cell.Status != http.StatusOK || cell.Output != want {
+			t.Errorf("key %s after ejection: status %d output %q, want the victim's %q", k, cell.Status, cell.Output, want)
+		}
+		if cell.Worker != r.Owner(k) || cell.Worker == victimID {
+			t.Errorf("key %s after ejection: served by %s, owner %s", k, cell.Worker, r.Owner(k))
+		}
+		if n := stubByID(stubs, r.Owner(k)).ran(k); n != 1 {
+			t.Errorf("key %s ran %d times on its new owner, want 1", k, n)
+		}
+	}
+}
+
+// TestRouterClientAbortsDoNotEject: an upstream call that ends because
+// the client's deadline expired, or because the client hung up, is not
+// a worker failure. Three of each against a slow but healthy worker
+// leave it on the ring, and the next request is answered 200.
+func TestRouterClientAbortsDoNotEject(t *testing.T) {
+	r, stubs := newTestRouter(t, Config{FailThreshold: 3}, 1)
+	stubs[0].delay = 300 * time.Millisecond
+	send := func(ctx context.Context, body string) int {
+		req := httptest.NewRequest(http.MethodPost, "/v1/cell", strings.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, req)
+		return rec.Code
+	}
+
+	for i := 1; i <= 3; i++ {
+		body := fmt.Sprintf(`{"key":%q,"timeout_ms":50}`, testKey(i))
+		if code := send(context.Background(), body); code != http.StatusGatewayTimeout {
+			t.Errorf("deadline request %d: status %d, want 504", i, code)
+		}
+	}
+	// A client that hangs up cancels its request's context.
+	for i := 4; i <= 6; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(20*time.Millisecond, cancel)
+		if code := send(ctx, fmt.Sprintf(`{"key":%q}`, testKey(i))); code != http.StatusGatewayTimeout {
+			t.Errorf("hung-up request %d: status %d, want 504", i, code)
+		}
+		cancel()
+	}
+
+	if got := r.Alive(); len(got) != 1 {
+		t.Fatalf("alive %v after client aborts, want the worker still on the ring", got)
+	}
+	if n := r.Metrics().Counters["cluster.ejections"]; n != 0 {
+		t.Errorf("ejections %d, want 0", n)
+	}
+	if cell, _ := postCell(t, r, testKey(7)); cell.Status != http.StatusOK {
+		t.Errorf("next request: status %d (%s), want 200", cell.Status, cell.Error)
+	}
 }
 
 // TestRouterRevival: an ejected worker that answers health probes is
@@ -511,43 +563,6 @@ func TestRouterAllWorkersDead(t *testing.T) {
 	}
 	if r.Metrics().Counters["cluster.unrouted"] == 0 {
 		t.Error("unrouted counter untouched")
-	}
-}
-
-// TestRememberEviction pins the peer-fill memory's bound: past
-// FillEntries each new key evicts exactly one old entry, the eviction
-// is counted (cluster.fill.evicted), and re-remembering a resident key
-// neither grows the map nor evicts.
-func TestRememberEviction(t *testing.T) {
-	r, _ := newTestRouter(t, Config{FillEntries: 2}, 1)
-
-	r.remember("k1", "o1", "w0")
-	r.remember("k2", "o2", "w0")
-	if got := r.Metrics().Counters["cluster.fill.evicted"]; got != 0 {
-		t.Fatalf("evictions before the bound: %d", got)
-	}
-
-	// Resident key at the bound: update in place, no eviction.
-	r.remember("k1", "o1b", "w0")
-	if got := r.Metrics().Counters["cluster.fill.evicted"]; got != 0 {
-		t.Fatalf("re-remembering a resident key evicted: %d", got)
-	}
-
-	// Fresh keys past the bound: one eviction each, size pinned.
-	r.remember("k3", "o3", "w0")
-	r.remember("k4", "o4", "w0")
-	if got := r.Metrics().Counters["cluster.fill.evicted"]; got != 2 {
-		t.Fatalf("evictions = %d, want 2", got)
-	}
-	r.recentMu.Lock()
-	size := len(r.recent)
-	_, hasK4 := r.recent["k4"]
-	r.recentMu.Unlock()
-	if size != 2 {
-		t.Fatalf("remember map size %d, want FillEntries bound 2", size)
-	}
-	if !hasK4 {
-		t.Fatal("newest key missing after eviction")
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 	"indra/internal/serve"
 )
 
-// Worker is one cluster member as the router sees it. Run and Fill
-// return an error only for worker-level failures (the process is dead,
+// Worker is one cluster member as the router sees it. Run returns an
+// error only for worker-level failures (the process is dead,
 // the transport broke, the reply was not a cell response); those
 // trigger failover. Cell-level failures (429, 504, 500) are answers:
 // they ride inside the Cell and go back to the client.
@@ -25,8 +25,6 @@ type Worker interface {
 	ID() string
 	// Run executes (or cache-serves) one cell on this worker.
 	Run(ctx context.Context, key indra.CellKey, timeout time.Duration) (serve.Cell, error)
-	// Fill warms this worker's result cache with a completed result.
-	Fill(ctx context.Context, key indra.CellKey, output string) error
 	// Health probes the worker's /healthz (nil = alive and serving).
 	Health(ctx context.Context) error
 }
@@ -95,25 +93,6 @@ func (w *HTTPWorker) Run(ctx context.Context, key indra.CellKey, timeout time.Du
 	return c, nil
 }
 
-func (w *HTTPWorker) Fill(ctx context.Context, key indra.CellKey, output string) error {
-	body, _ := json.Marshal(map[string]string{"key": key.String(), "output": output})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/fill", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("%w: %v", errWorkerDown, err)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: fill %s: status %d", w.base, resp.StatusCode)
-	}
-	return nil
-}
-
 func (w *HTTPWorker) Health(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/healthz", nil)
 	if err != nil {
@@ -161,11 +140,6 @@ func (w *LocalWorker) Run(ctx context.Context, key indra.CellKey, timeout time.D
 		return serve.Cell{}, fmt.Errorf("%w: %s", errWorkerDown, c.Error)
 	}
 	return c, nil
-}
-
-func (w *LocalWorker) Fill(_ context.Context, key indra.CellKey, output string) error {
-	w.srv.FillCache(key, output)
-	return nil
 }
 
 func (w *LocalWorker) Health(context.Context) error {

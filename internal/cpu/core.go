@@ -59,6 +59,10 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("core fault %s at pc=%08x addr=%08x: %v", f.Kind, f.PC, f.Addr, f.Err)
 }
 
+// Unwrap returns the fault's cause, so errors.As reaches a syscall
+// fault's *oslite.ProcFault.
+func (f *Fault) Unwrap() error { return f.Err }
+
 // Environment is the chip-level machinery a core calls into: syscall
 // dispatch, trace FIFO emission (which may stall the core), and the
 // checkpoint engine hooks. All methods return modelled core cycles.

@@ -101,6 +101,9 @@ type ProcFault struct {
 
 func (f *ProcFault) Error() string { return fmt.Sprintf("process %d fault: %v", f.PID, f.Err) }
 
+// Unwrap returns the fault's cause, such as a *PageFault.
+func (f *ProcFault) Unwrap() error { return f.Err }
+
 // Kernel is one resurrectee OS instance: it owns the processes, the
 // file system and the frame allocator for its watchdog partition.
 type Kernel struct {

@@ -94,24 +94,6 @@ func (c *resultCache) do(ctx context.Context, key string, fn func() (string, err
 	return e.out, false, e.err
 }
 
-// fill inserts a completed result for key without executing anything —
-// the peer cache-fill path: a cluster router warms a failed-over key's
-// new owner with the dead owner's remembered result. An existing entry
-// (completed or in-flight) wins; fill reports whether it inserted.
-func (c *resultCache) fill(key, out string) bool {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.m[key]; ok {
-		return false
-	}
-	c.makeRoom(sh)
-	e := &cacheEntry{done: make(chan struct{}), out: out}
-	close(e.done)
-	sh.m[key] = e
-	return true
-}
-
 // makeRoom evicts one completed entry from sh when it is full (see
 // perShard). The caller holds sh.mu.
 func (c *resultCache) makeRoom(sh *cacheShard) {

@@ -53,8 +53,6 @@ func (m stubMember) Run(_ context.Context, key indra.CellKey, _ time.Duration) (
 	return serve.Cell{Key: key.String(), Output: "ok", Status: http.StatusOK}, nil
 }
 
-func (stubMember) Fill(context.Context, indra.CellKey, string) error { return nil }
-
 func (stubMember) Health(context.Context) error { return nil }
 
 type front interface {
@@ -123,9 +121,9 @@ func drain(t *testing.T, f front) {
 }
 
 // TestRequestValidation: malformed keys, unknown experiments,
-// over-limit cells and batches, and any cell request to a draining
-// front are rejected at the front; only the valid cells reach the
-// backend.
+// over-limit cells and batches, any cell request to a draining front,
+// and an attempt to install a result (no front has such a route) are
+// rejected at the front; only the valid cells reach the backend.
 func TestRequestValidation(t *testing.T) {
 	limits := serve.Limits{MaxRequests: 8, MaxScale: 2, MaxBatch: 2}
 	cases := []struct {
@@ -146,6 +144,7 @@ func TestRequestValidation(t *testing.T) {
 		{"empty batch", "/v1/cells", `{"cells":[]}`, http.StatusBadRequest},
 		{"oversized batch", "/v1/cells", `{"cells":["fig9","fig9","fig9"]}`, http.StatusBadRequest},
 		{"batch bad member", "/v1/cells", `{"cells":["fig99/req=1"]}`, http.StatusNotFound},
+		{"cache fill", "/v1/fill", `{"key":"fig9/req=1/scale=1/seed=1","output":"pwned\n"}`, http.StatusNotFound},
 	}
 	for _, fc := range fronts {
 		t.Run(fc.name, func(t *testing.T) {

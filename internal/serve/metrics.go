@@ -46,7 +46,6 @@ type metrics struct {
 	cacheMiss  *obs.Counter // cell requests that became the executing leader
 	rejected   *obs.Counter // 429s (admission queue full)
 	deadlines  *obs.Counter // 504s (deadline expired before a result)
-	cacheFills *obs.Counter // results installed by a cluster peer fill
 
 	queueDepth  *obs.Gauge     // admitted cells (executing + waiting), with high-water
 	cellLatency *obs.Histogram // per-cell latency incl. cache/queue, µs
@@ -60,7 +59,6 @@ func newMetrics(r *obs.Registry) metrics {
 		cacheMiss:   r.Counter("serve.cache.misses"),
 		rejected:    r.Counter("serve.rejected"),
 		deadlines:   r.Counter("serve.deadlines"),
-		cacheFills:  r.Counter("serve.cache.fills"),
 		queueDepth:  r.Gauge("serve.queue.depth"),
 		cellLatency: r.Histogram("serve.cell.latency_us"),
 		execLatency: r.Histogram("serve.exec.latency_us"),

@@ -102,7 +102,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is a worker: the shared Front over the local simulation
-// pipeline, plus POST /v1/fill for cluster peer cache fills.
+// pipeline. Its result cache holds only what its own Runner returned;
+// no route installs a result from outside.
 type Server struct {
 	*Front
 	cfg   Config
@@ -127,7 +128,6 @@ func New(cfg Config) *Server {
 			return "ok", http.StatusOK, map[string]any{"experiments": experiments}
 		},
 	})
-	s.Handle("POST /v1/fill", s.handleFill)
 	return s
 }
 
@@ -169,53 +169,4 @@ func (s *Server) Execute(ctx context.Context, key indra.CellKey, _ time.Duration
 		c.Error = err.Error()
 	}
 	return c
-}
-
-// FillCache installs a completed result for key without executing it —
-// the cluster peer cache-fill path, so a failed-over key's new owner
-// answers warm. Existing (or in-flight) entries win; FillCache reports
-// whether the result was installed, counting installs in
-// serve.cache.fills.
-func (s *Server) FillCache(key indra.CellKey, output string) bool {
-	if s.Draining() {
-		return false
-	}
-	if _, err := s.role.Limits.validate(key); err != nil {
-		return false
-	}
-	ok := s.cache.fill(key.String(), output)
-	if ok {
-		s.m.cacheFills.Inc()
-	}
-	return ok
-}
-
-// fillRequest is the JSON body of POST /v1/fill: a peer cache fill
-// from a cluster router (the remembered result of a dead owner, warmed
-// into this worker — the key's new owner after the ring re-hash).
-type fillRequest struct {
-	Key    string `json:"key"`
-	Output string `json:"output"`
-}
-
-func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		writeErr(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	var req fillRequest
-	if status, err := decodeBody(w, r, &req); err != nil {
-		writeErr(w, status, "%v", err)
-		return
-	}
-	key, err := indra.ParseCellKey(req.Key)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if status, err := s.role.Limits.validate(key); err != nil {
-		writeErr(w, status, "%v", err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]bool{"installed": s.FillCache(key, req.Output)})
 }

@@ -439,10 +439,11 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestFillInstallsCachedResult: POST /v1/fill installs a completed
-// result (the cluster peer cache-fill path), so the next request for
-// that key answers from cache without executing; existing entries win.
-func TestFillInstallsCachedResult(t *testing.T) {
+// TestForgedFillIsNotServed: a worker's result cache has one writer,
+// its own Runner. A forged result POSTed to /v1/fill is refused with
+// 404, and the key's next request simulates it once and returns the
+// runner's bytes, not cached.
+func TestForgedFillIsNotServed(t *testing.T) {
 	var execs atomic.Int64
 	srv := New(Config{
 		Workers: 2,
@@ -454,65 +455,24 @@ func TestFillInstallsCachedResult(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	fill := func(cellKey, output string) (int, bool) {
-		t.Helper()
-		body, _ := json.Marshal(map[string]string{"key": cellKey, "output": output})
-		resp, err := ts.Client().Post(ts.URL+"/v1/fill", "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out struct {
-			Installed bool `json:"installed"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&out)
-		return resp.StatusCode, out.Installed
+	body, _ := json.Marshal(map[string]string{"key": key(7), "output": "pwned\n"})
+	resp, err := ts.Client().Post(ts.URL+"/v1/fill", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/fill: status %d, want 404", resp.StatusCode)
 	}
 
-	if code, installed := fill(key(1), "peer-filled bytes"); code != http.StatusOK || !installed {
-		t.Fatalf("fill: status %d installed %v, want 200 true", code, installed)
+	resp, cr := postCell(t, ts.Client(), ts.URL, key(7), 5000)
+	if resp.StatusCode != http.StatusOK || cr.Cached || cr.Output != "executed-"+key(7) {
+		t.Fatalf("cell after forged fill: status %d cached %v output %q, want 200, not cached, the runner's bytes",
+			resp.StatusCode, cr.Cached, cr.Output)
 	}
-	resp, cr := postCell(t, ts.Client(), ts.URL, key(1), 5000)
-	if resp.StatusCode != http.StatusOK || !cr.Cached || cr.Output != "peer-filled bytes" {
-		t.Fatalf("filled cell: status %d cached %v output %q", resp.StatusCode, cr.Cached, cr.Output)
-	}
-	if execs.Load() != 0 {
-		t.Fatalf("filled key executed %d times, want 0", execs.Load())
-	}
-
-	// An existing (executed) entry wins over a late fill.
-	if _, cr := postCell(t, ts.Client(), ts.URL, key(2), 5000); cr.Cached {
-		t.Fatal("fresh key unexpectedly cached")
-	}
-	if code, installed := fill(key(2), "stale overwrite"); code != http.StatusOK || installed {
-		t.Fatalf("overwrite fill: status %d installed %v, want 200 false", code, installed)
-	}
-	if _, cr := postCell(t, ts.Client(), ts.URL, key(2), 5000); cr.Output != "executed-"+key(2) {
-		t.Fatalf("fill overwrote an executed result: %q", cr.Output)
-	}
-
-	// Invalid fills are rejected at the boundary, oversized ones before
-	// they are buffered.
-	for body, want := range map[string]int{
-		`{"key":"fig9/req=0/scale=1/seed=1","output":"x"}`:        http.StatusBadRequest,
-		`{"key":"no-such-exp/req=1/scale=1/seed=1","output":"x"}`: http.StatusNotFound,
-		`not json`: http.StatusBadRequest,
-		`{"key":"fig9/req=1/scale=1/seed=9","output":"` + strings.Repeat("x", maxBodyBytes) + `"}`: http.StatusRequestEntityTooLarge,
-	} {
-		resp, err := ts.Client().Post(ts.URL+"/v1/fill", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Errorf("fill %q: status %d, want %d", body, resp.StatusCode, want)
-		}
-	}
-
-	c := counters(t, ts.URL)
-	if c["serve.cache.fills"] != 1 {
-		t.Fatalf("serve.cache.fills %d, want 1", c["serve.cache.fills"])
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("key executed %d times, want 1", n)
 	}
 }
 
@@ -550,8 +510,5 @@ func TestExecuteCellMatchesHTTP(t *testing.T) {
 	}
 	if res = srv.ExecuteCell(context.Background(), k, 0); res.Status != http.StatusServiceUnavailable {
 		t.Fatalf("draining ExecuteCell: status %d, want 503", res.Status)
-	}
-	if srv.FillCache(k, "late") {
-		t.Fatal("FillCache installed into a draining server")
 	}
 }
